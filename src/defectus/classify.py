@@ -55,7 +55,7 @@ DEFAULT_WITNESS_BUDGET = 4096
 MIN_RANDOMIZED_FIELD = 1 << 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassificationReport:
     degree_full: tuple
     in_L: bool

@@ -287,12 +287,14 @@ def _census_chunk(args):
     field = config.build_field()
     acc = OutcomeCounts.zero(config.inputs.s)
     rows = [] if want_rows else None
+    # equal reports are kept once, so the pickled rows share them too
+    shared = {}
     for idx in range(start, stop):
         system = system_from_census_index(config.inputs, field, idx)
         rep = classify(system, config.witness_budget)
         acc = acc + OutcomeCounts.from_report(rep)
         if want_rows:
-            rows.append((idx, rep))
+            rows.append((idx, shared.setdefault(rep, rep)))
     return acc, rows
 
 
@@ -374,8 +376,12 @@ def _verdicts(counts: OutcomeCounts, bounds: BoundReport, mode: str,
     the probability bound; census B_1 compares exact counts.  B_2 is
     judged through the certified bracket: PASS when the upper side
     clears the bound, FAIL only when the certified lower side already
-    violates it, NOT_VERIFIED in between.  Vacuous bounds (probability
-    >= 1) are reported as VACUOUS_PASS, never silently.
+    violates it, NOT_VERIFIED in between.  The census compares the
+    bracket's exact counts with the count bound; Monte Carlo compares
+    the one-sided Clopper-Pearson upper bound of the upper side, and the
+    lower end of the two-sided interval of the lower side, with the
+    probability bound.  Vacuous bounds (probability >= 1) are reported
+    as VACUOUS_PASS, never silently.
     """
     if not bounds.applicable:
         return "INAPPLICABLE", "INAPPLICABLE"
@@ -399,9 +405,11 @@ def _verdicts(counts: OutcomeCounts, bounds: BoundReport, mode: str,
         else:
             v2 = "NOT_VERIFIED"
     else:
-        if Fraction(counts.in_B2_upper, n) <= bounds.prob_B2:
+        upper = cp_upper_one_sided(counts.in_B2_upper, n, confidence)
+        lower, _ = cp_interval(counts.in_B2_lower, n, confidence)
+        if Fraction(upper) <= bounds.prob_B2:
             v2 = "PASS"
-        elif Fraction(counts.in_B2_lower, n) > bounds.prob_B2:
+        elif Fraction(lower) > bounds.prob_B2:
             v2 = "FAIL"
         else:
             v2 = "NOT_VERIFIED"

@@ -159,6 +159,7 @@ class ExtensionField(Field):
 
     __slots__ = (
         "base", "degree", "modulus", "p", "k", "q", "zero", "one", "_red",
+        "_inv",
     )
 
     def __init__(self, base: Field, degree: int, modulus: tuple):
@@ -189,6 +190,9 @@ class ExtensionField(Field):
             )
             red.append(nxt)
         self._red = tuple(red)
+        # inverses found so far; filled on use, since a table of all
+        # q - 1 would make a large tower expensive to build
+        self._inv = {}
 
     def add(self, a, b):
         base = self.base
@@ -224,6 +228,9 @@ class ExtensionField(Field):
         return tuple(out)
 
     def inv(self, a):
+        cached = self._inv.get(a)
+        if cached is not None:
+            return cached
         if a == self.zero:
             raise ZeroDivisionError("inverse of 0")
         g, u = _upoly_exgcd(self.base, _upoly_trim(self.base, a), self.modulus)
@@ -232,7 +239,8 @@ class ExtensionField(Field):
         c = self.base.inv(g[0])
         out = [self.base.mul(c, x) for x in u]
         out += [self.base.zero] * (self.degree - len(out))
-        return tuple(out[:self.degree])
+        inverse = self._inv[a] = tuple(out[:self.degree])
+        return inverse
 
     def from_int(self, n: int):
         return (self.base.from_int(n),) + (self.base.zero,) * (self.degree - 1)

@@ -1,8 +1,11 @@
 """Reduced Groebner bases and exact ideal decisions.
 
 Buchberger with the normal selection strategy and both classical pair
-criteria; instances in this package are tiny and determinism matters
-more than asymptotics.  The public order is grevlex with the last
+criteria.  Each S-pair is ranked once, when it is formed, by the order
+key of its lcm and then by its indices, and waits in a heap; ranks are
+distinct, so the pop order is the order of a full scan for the
+smallest rank.  Normal forms take their leading monomials from a heap
+of inverted order keys.  The public order is grevlex with the last
 variable cheapest (that is where homogenization puts X_0); a block
 order eliminating an auxiliary last variable is used internally for
 colon ideals.
@@ -17,6 +20,7 @@ variables has dimension n.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -27,11 +31,18 @@ from .polynomials import (
 
 
 class MonomialOrder:
-    __slots__ = ("kind", "key")
+    """A term order given by two sort keys.
 
-    def __init__(self, kind: str, key: Callable):
+    ``key(a) < key(b)`` iff a is smaller than b; ``inverted`` sorts the
+    other way round, which turns heapq's min-heap into a max-heap.
+    """
+
+    __slots__ = ("kind", "key", "inverted")
+
+    def __init__(self, kind: str, key: Callable, inverted: Callable):
         self.kind = kind
         self.key = key
+        self.inverted = inverted
 
     def __eq__(self, other):
         return isinstance(other, MonomialOrder) and self.kind == other.kind
@@ -43,11 +54,13 @@ class MonomialOrder:
         return f"MonomialOrder({self.kind})"
 
 
-GREVLEX = MonomialOrder("grevlex", grevlex_key)
+GREVLEX = MonomialOrder(
+    "grevlex", grevlex_key, lambda e: (-sum(e), e[::-1]))
 
 # t (the last variable) dominates, grevlex on the rest: eliminates t.
 ELIM_LAST = MonomialOrder(
-    "elim_last", lambda e: (e[-1], grevlex_key(e[:-1])))
+    "elim_last", lambda e: (e[-1], grevlex_key(e[:-1])),
+    lambda e: (-e[-1], -sum(e[:-1])) + e[-2::-1])
 
 
 class GroebnerBasis:
@@ -89,14 +102,25 @@ def _record(terms, key):
     return (terms, lm, terms[lm])
 
 
-def _normal_form(terms, records, field, key):
-    """Full remainder of ``terms`` modulo the records (deterministic)."""
+def _normal_form(terms, records, field, order):
+    """Full remainder of ``terms`` modulo the records (deterministic).
+
+    ``work`` holds the coefficients; the heap holds each monomial pushed
+    when it entered ``work``, and a popped monomial no longer there was
+    cancelled.  Reduction adds only monomials below the one it removes,
+    so the heap yields the leading monomial of ``work`` every time.
+    """
+    inverted = order.inverted
     zero = field.zero
     rem = {}
     work = dict(terms)
-    while work:
-        lm = max(work, key=key)
-        c = work.pop(lm)
+    heap = [(inverted(m), m) for m in work]
+    heapify(heap)
+    while heap:
+        lm = heappop(heap)[1]
+        c = work.pop(lm, None)
+        if c is None:
+            continue
         hit = None
         for rec in records:
             if mono_divides(rec[1], lm):
@@ -112,10 +136,13 @@ def _normal_form(terms, records, field, key):
             if gm == glm:
                 continue
             m2 = mono_mul(gm, shift)
-            v = field.sub(work.get(m2, zero), field.mul(factor, gc))
+            old = work.get(m2)
+            v = field.sub(zero if old is None else old, field.mul(factor, gc))
             if v == zero:
                 work.pop(m2, None)
             else:
+                if old is None:
+                    heappush(heap, (inverted(m2), m2))
                 work[m2] = v
     return rem
 
@@ -140,18 +167,28 @@ def _s_poly(rec_i, rec_j, field):
     return out
 
 
-def _buchberger(seed_terms, field, key):
-    basis = [_record(t, key) for t in seed_terms if t]
-    pending = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+def _buchberger(seed_terms, field, order):
+    key = order.key
+    basis = []
+    queue = []       # (key of the lcm, i, j, lcm), smallest rank first
+    pending = set()  # the (i, j) in queue, for the chain criterion
 
-    def pair_rank(ij):
-        return (key(mono_lcm(basis[ij[0]][1], basis[ij[1]][1])), ij)
+    def add_record(terms):
+        rec = _record(terms, key)
+        new = len(basis)
+        for t in range(new):
+            lcm = mono_lcm(basis[t][1], rec[1])
+            heappush(queue, (key(lcm), t, new, lcm))
+            pending.add((t, new))
+        basis.append(rec)
 
-    while pending:
-        i, j = min(pending, key=pair_rank)
+    for terms in seed_terms:
+        if terms:
+            add_record(terms)
+    while queue:
+        _, i, j, lcm = heappop(queue)
         pending.discard((i, j))
         lmi, lmj = basis[i][1], basis[j][1]
-        lcm = mono_lcm(lmi, lmj)
         if lcm == mono_mul(lmi, lmj):
             continue  # coprime leading monomials: S-poly reduces to 0
         skip = False
@@ -164,16 +201,16 @@ def _buchberger(seed_terms, field, key):
                 break
         if skip:
             continue
-        rem = _normal_form(_s_poly(basis[i], basis[j], field), basis, field, key)
+        rem = _normal_form(_s_poly(basis[i], basis[j], field), basis, field,
+                           order)
         if rem:
-            basis.append(_record(rem, key))
-            new = len(basis) - 1
-            pending.update((t, new) for t in range(new))
+            add_record(rem)
     return basis
 
 
-def _reduce_basis(basis, field, key):
+def _reduce_basis(basis, field, order):
     """Unique reduced form: minimal, inter-reduced, monic, sorted."""
+    key = order.key
     recs = sorted(basis, key=lambda r: key(r[1]))
     kept = []
     for rec in recs:
@@ -184,7 +221,7 @@ def _reduce_basis(basis, field, key):
         changed = False
         for idx in range(len(kept)):
             others = kept[:idx] + kept[idx + 1:]
-            rem = _normal_form(kept[idx][0], others, field, key)
+            rem = _normal_form(kept[idx][0], others, field, order)
             if rem != kept[idx][0]:
                 kept[idx] = _record(rem, key)
                 changed = True
@@ -217,8 +254,8 @@ def groebner(gens: Sequence[Poly], order: MonomialOrder = GREVLEX,
     elif field is None or nvars is None:
         raise ValueError("empty generator list needs field and nvars")
     seed = [dict(g.terms) for g in gens if not g.is_zero()]
-    basis = _buchberger(seed, field, order.key)
-    reduced = _reduce_basis(basis, field, order.key)
+    basis = _buchberger(seed, field, order)
+    reduced = _reduce_basis(basis, field, order)
     polys = tuple(Poly(field, nvars, t, _clean=True) for t in reduced)
     return GroebnerBasis(field, nvars, order, polys)
 
@@ -228,7 +265,7 @@ def normal_form(f: Poly, gb: GroebnerBasis) -> Poly:
     if f.nvars != gb.nvars or f.field != gb.field:
         raise ValueError("polynomial not in the basis ring")
     records = [_record(dict(g.terms), gb.order.key) for g in gb.gens]
-    rem = _normal_form(dict(f.terms), records, gb.field, gb.order.key)
+    rem = _normal_form(dict(f.terms), records, gb.field, gb.order)
     return Poly(gb.field, gb.nvars, rem, _clean=True)
 
 
@@ -286,8 +323,8 @@ def colon_ideal(gb: GroebnerBasis, f: Poly) -> GroebnerBasis:
             mixed[mt] = v
     ext_gens.append(mixed)
     basis = _reduce_basis(
-        _buchberger([t for t in ext_gens if t], field, ELIM_LAST.key),
-        field, ELIM_LAST.key)
+        _buchberger([t for t in ext_gens if t], field, ELIM_LAST),
+        field, ELIM_LAST)
     # under the block order, a t-free leading monomial forces the whole
     # element t-free, so these form a grevlex basis of I intersect (f)
     inter = []

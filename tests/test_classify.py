@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from defectus import (
@@ -256,3 +258,12 @@ def test_classify_json_fields(f7):
         "irreducibility", "in_B1", "in_B2_lower", "in_B2_upper",
     }
     assert set(blob) == expected_keys
+
+
+def test_report_pickles_unchanged(f7):
+    # census workers ship their rows back pickled; slots keep each small
+    rep = classify(_system(f7, (2, 1), [{(1, 1, 0): 1}, {(0, 0, 1): 1}]))
+    assert not hasattr(rep, "__dict__")
+    back = pickle.loads(pickle.dumps(rep))
+    assert back == rep
+    assert back.to_json_dict() == rep.to_json_dict()

@@ -5,11 +5,12 @@ import pytest
 
 from defectus import (
     BoundInputs, BudgetExceeded, ExperimentConfig, OutcomeCounts, classify,
-    cp_interval, cp_upper_one_sided, linear_census_oracle, run_census,
-    run_monte_carlo, sample_system, system_from_census_index,
+    cp_interval, cp_upper_one_sided, derive, linear_census_oracle,
+    run_census, run_monte_carlo, sample_system, system_from_census_index,
 )
 from defectus.experiment import (
-    census_size, coefficient_layout, gaussian_binomial, matrices_of_rank,
+    _verdicts, census_size, coefficient_layout, gaussian_binomial,
+    matrices_of_rank,
 )
 from defectus.rng import HashStream
 
@@ -128,6 +129,9 @@ def test_census_matches_oracle_q2():
     assert report.counts.in_B2_lower == report.counts.in_B2_upper
     assert len(rows) == 256
     assert [idx for idx, _ in rows] == list(range(256))
+    # each of the 8 chunks (4 per thread) ships equal reports as one object
+    distinct = set(rep for _, rep in rows)
+    assert len({id(rep) for _, rep in rows}) <= 8 * len(distinct) < 256
 
 
 def test_census_budget_refusal():
@@ -193,6 +197,30 @@ def test_mc_vacuous_verdict():
     assert rep.bound_report.vacuous_B1 and rep.bound_report.vacuous_B2
     assert rep.verdict_B1 == "VACUOUS_PASS"
     assert rep.verdict_B2 == "VACUOUS_PASS"
+
+
+def test_mc_b2_verdict_needs_confidence():
+    # one draw verifies neither bound; before, B_2 passed on the point
+    # estimate 0/1 while B_1 already said NOT_VERIFIED
+    rep = run_monte_carlo(_mc_config(q=101, d=(2, 2), n=1, seed=42))
+    assert rep.counts.in_B2_upper == 0
+    assert rep.verdict_B1 == "NOT_VERIFIED"
+    assert rep.verdict_B2 == "NOT_VERIFIED"
+
+
+def test_mc_b2_verdict_outcomes():
+    # prob_B2 = 4096/10201 ~ 0.40 at q=101, d=(2,2)
+    bounds = derive(BoundInputs(3, 2, 101, (2, 2)))
+
+    def verdict_b2(lower, upper, n=200):
+        counts = OutcomeCounts(n=n, in_B2_lower=lower, in_B2_upper=upper,
+                               degree_drop=(0, 0))
+        return _verdicts(counts, bounds, "monte_carlo", 0.99)[1]
+
+    assert verdict_b2(0, 3) == "PASS"
+    assert verdict_b2(0, 90) == "NOT_VERIFIED"   # 0.45 > 0.40, not certain
+    assert verdict_b2(90, 90) == "NOT_VERIFIED"  # CP lower end ~0.36
+    assert verdict_b2(120, 120) == "FAIL"        # CP lower end ~0.51
 
 
 def test_inapplicable_verdict_linear():

@@ -69,6 +69,13 @@ def test_exhaustive_inverse_f8():
     for i in range(1, 8):
         a = f8.element_from_index(i)
         assert f8.mul(a, f8.inv(a)) == f8.one
+    # every inverse is now remembered: a second call must agree with a
+    # field that has computed none yet, and zero must still be refused
+    for i in range(1, 8):
+        a = f8.element_from_index(i)
+        assert f8.inv(a) == field_make(2, 3, 0).inv(a)
+    with pytest.raises(ZeroDivisionError):
+        f8.inv(f8.zero)
 
 
 def test_index_roundtrip():

@@ -1,13 +1,20 @@
+import importlib
+
 import pytest
 
 from defectus import (
     GroebnerBasis, Poly, colon_ideal, embed_poly, extension_of,
-    field_make, groebner, ideal_dimension, is_empty, normal_form,
-    projective_dimension,
+    field_make, groebner, ideal_dimension, is_empty, monomials_upto,
+    normal_form, projective_dimension,
 )
+from defectus.groebner import ELIM_LAST, GREVLEX
 from defectus.rng import HashStream
 
+import reference_groebner
 from conftest import random_poly
+
+# the package attribute defectus.groebner is the function, not the module
+gbmod = importlib.import_module("defectus.groebner")
 
 
 def _vars(field, n=3):
@@ -231,3 +238,55 @@ def test_basis_gens_are_monic_and_sorted(f7):
                     continue
                 assert not any(mono_divides(h.leading_monomial(), m)
                                for m in g.terms)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, ELIM_LAST], ids=repr)
+@pytest.mark.parametrize("nvars", [4, 5])
+def test_inverted_key_reverses_order(order, nvars):
+    # the heaps rely on inverted(a) < inverted(b) exactly when b < a
+    mons = monomials_upto(nvars, 4)
+    assert len({order.key(m) for m in mons}) == len(mons)
+    assert len({order.inverted(m) for m in mons}) == len(mons)
+    assert sorted(mons, key=order.inverted) == \
+        sorted(mons, key=order.key, reverse=True)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (101, 1)])
+def test_engine_matches_scan_reference(p, k, monkeypatch):
+    # the heap-driven engine must retrace the full-scan engine exactly:
+    # the same unreduced bases term by term, hence the same reduced
+    # bases, remainders and colon ideals under both orders
+    field = field_make(p, k, 0)
+    stream = HashStream("engine-reference", p, k)
+    cases = []
+    while len(cases) < 8:
+        gens = [random_poly(field, 3, 2, stream)
+                for _ in range(2 + len(cases) % 2)]
+        if all(not g.is_zero() for g in gens):
+            cases.append((gens, random_poly(field, 3, 3, stream)))
+
+    def terms(poly):
+        return list(poly.terms.items())
+
+    def run():
+        out = []
+        for gens, probe in cases:
+            for order in (GREVLEX, ELIM_LAST):
+                seeds = [dict(g.terms) for g in gens]
+                raw = gbmod._buchberger(seeds, field, order)
+                gb = groebner(gens, order)
+                out.append([[list(t.items()) for t, _, _ in raw],
+                            [terms(g) for g in gb.gens],
+                            terms(normal_form(probe, gb))])
+            col = colon_ideal(groebner(gens[:-1]), gens[-1])
+            out.append([terms(g) for g in col.gens])
+        return out
+
+    got = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(gbmod, "_normal_form",
+                      reference_groebner.normal_form_scan)
+        patch.setattr(gbmod, "_buchberger",
+                      reference_groebner.buchberger_scan)
+        expected = run()
+    assert got == expected
