@@ -42,7 +42,7 @@ from .groebner import (
     projective_dimension, _exact_divide,
 )
 from .polynomials import (
-    Poly, PolySystem, embed_poly, grevlex_key, jacobian_minors,
+    Poly, PolySystem, embed_poly, jacobian_minors,
     monomials_upto,
 )
 from .rng import HashStream
@@ -207,8 +207,7 @@ def find_reducibility_witness(system: PolySystem,
                 if cand.leading_coefficient() != field.one:
                     continue  # divisors only matter up to scalar
                 try:
-                    quot = _exact_divide(dict(f.terms), dict(cand.terms),
-                                         field, grevlex_key)
+                    quot = _exact_divide(f.terms, cand.terms, field, r)
                 except ArithmeticError:
                     continue
                 other = Poly(field, r, quot, _clean=True)

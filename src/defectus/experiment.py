@@ -317,19 +317,28 @@ def default_threads() -> int:
 
 # -- interval and verdict machinery ---------------------------------------
 
-def _binom_cdf(x: int, n: int, p: float) -> float:
-    """P[Bin(n, p) <= x], exact up to float evaluation of each term."""
-    if p <= 0.0:
-        return 1.0
-    if p >= 1.0:
-        return 1.0 if x >= n else 0.0
-    lp, l1p = math.log(p), math.log1p(-p)
-    total = 0.0
-    for j in range(x + 1):
-        total += math.exp(
-            math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
-            + j * lp + (n - j) * l1p)
-    return min(total, 1.0)
+def _binom_cdf(x: int, n: int):
+    """p -> P[Bin(n, p) <= x], exact up to float evaluation of each term.
+
+    The log binomial coefficients depend on (x, n) alone, so a solve
+    computes them once and each bisection step only adds the p terms.
+    """
+    top = math.lgamma(n + 1)
+    log_binom = [top - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+                 for j in range(x + 1)]
+
+    def cdf(p: float) -> float:
+        if p <= 0.0:
+            return 1.0
+        if p >= 1.0:
+            return 1.0 if x >= n else 0.0
+        lp, l1p = math.log(p), math.log1p(-p)
+        total = 0.0
+        for j, c in enumerate(log_binom):
+            total += math.exp(c + j * lp + (n - j) * l1p)
+        return min(total, 1.0)
+
+    return cdf
 
 
 def _solve_decreasing(fn, target: float) -> float:
@@ -349,7 +358,7 @@ def cp_upper_one_sided(x: int, n: int, confidence: float) -> float:
     if x >= n:
         return 1.0
     alpha = 1.0 - confidence
-    return _solve_decreasing(lambda p: _binom_cdf(x, n, p), alpha)
+    return _solve_decreasing(_binom_cdf(x, n), alpha)
 
 
 def cp_interval(x: int, n: int, confidence: float):
@@ -359,12 +368,11 @@ def cp_interval(x: int, n: int, confidence: float):
         lo = 0.0
     else:
         # lower endpoint: P[X >= x] = alpha/2, i.e. cdf(x-1) = 1 - alpha/2
-        lo = _solve_decreasing(
-            lambda p: _binom_cdf(x - 1, n, p), 1.0 - alpha / 2)
+        lo = _solve_decreasing(_binom_cdf(x - 1, n), 1.0 - alpha / 2)
     if x == n:
         hi = 1.0
     else:
-        hi = _solve_decreasing(lambda p: _binom_cdf(x, n, p), alpha / 2)
+        hi = _solve_decreasing(_binom_cdf(x, n), alpha / 2)
     return lo, hi
 
 

@@ -28,18 +28,6 @@ NEG_INF = float("-inf")
 def mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
-def mono_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-def mono_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-def mono_degree(a):
-    return sum(a)
-
 
 def grevlex_key(e):
     """Sort key: bigger key = bigger monomial under grevlex.

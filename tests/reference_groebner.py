@@ -1,23 +1,60 @@
-"""Reference Buchberger engine: full scans instead of heaps.
+"""Reference Buchberger engine on exponent tuples, with full scans.
 
-This is the selection code ``defectus.groebner`` used before its pair
-queue and normal forms were driven by heaps.  Each step scans every
+A self-contained oracle for ``defectus.groebner``: it shares none of the
+engine's code, only the definition of the orders (``MonomialOrder.key``
+on exponent tuples).  Monomials are tuples, each step scans every
 pending S-pair for the smallest (lcm key, i, j), and every reduction
 step scans the whole work polynomial for its leading monomial.  The
-functions take the same arguments as ``_buchberger`` and
-``_normal_form`` in ``defectus.groebner``, so a test can swap them in
-and run the public operations on this engine as an oracle.
+pair criteria, the reduction and the colon construction follow the
+same rules as the engine, so both build the same unreduced bases term
+by term, and the same reduced bases, remainders and colon ideals.
+Term maps go in and come out as ``{exponent tuple: coefficient}``.
 """
 
-from defectus.groebner import _record, _s_poly
-from defectus.polynomials import (
-    mono_div, mono_divides, mono_lcm, mono_mul,
-)
+
+def mono_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
 
 
-def normal_form_scan(terms, records, field, order):
+def mono_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def mono_div(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def mono_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def record(terms, key):
+    lm = max(terms, key=key)
+    return (terms, lm, terms[lm])
+
+
+def s_poly(rec_i, rec_j, field):
+    zero = field.zero
+    ti, lmi, lci = rec_i
+    tj, lmj, lcj = rec_j
+    lcm = mono_lcm(lmi, lmj)
+    si, sj = mono_div(lcm, lmi), mono_div(lcm, lmj)
+    ci, cj = field.inv(lci), field.inv(lcj)
+    out = {}
+    for m, c in ti.items():
+        out[mono_mul(m, si)] = field.mul(ci, c)
+    for m, c in tj.items():
+        m2 = mono_mul(m, sj)
+        v = field.sub(out.get(m2, zero), field.mul(cj, c))
+        if v == zero:
+            out.pop(m2, None)
+        else:
+            out[m2] = v
+    return out
+
+
+def normal_form_scan(terms, records, field, key):
     """Full remainder of ``terms`` modulo the records (deterministic)."""
-    key = order.key
     zero = field.zero
     rem = {}
     work = dict(terms)
@@ -47,9 +84,9 @@ def normal_form_scan(terms, records, field, order):
     return rem
 
 
-def buchberger_scan(seed_terms, field, order):
-    key = order.key
-    basis = [_record(t, key) for t in seed_terms if t]
+def buchberger_scan(seed_terms, field, key):
+    """Unreduced basis records, in the order the engine appends them."""
+    basis = [record(t, key) for t in seed_terms if t]
     pending = {(i, j) for i in range(len(basis))
                for j in range(i + 1, len(basis))}
 
@@ -73,10 +110,89 @@ def buchberger_scan(seed_terms, field, order):
                 break
         if skip:
             continue
-        rem = normal_form_scan(_s_poly(basis[i], basis[j], field), basis,
-                               field, order)
+        rem = normal_form_scan(s_poly(basis[i], basis[j], field), basis,
+                               field, key)
         if rem:
-            basis.append(_record(rem, key))
+            basis.append(record(rem, key))
             new = len(basis) - 1
             pending.update((t, new) for t in range(new))
     return basis
+
+
+def reduce_basis(basis, field, key):
+    """Minimal, inter-reduced, monic term maps, largest lead first."""
+    kept = []
+    for rec in sorted(basis, key=lambda r: key(r[1])):
+        if not any(mono_divides(k[1], rec[1]) for k in kept):
+            kept.append(rec)
+    changed = True
+    while changed:
+        changed = False
+        for idx in range(len(kept)):
+            others = kept[:idx] + kept[idx + 1:]
+            rem = normal_form_scan(kept[idx][0], others, field, key)
+            if rem != kept[idx][0]:
+                kept[idx] = record(rem, key)
+                changed = True
+    out = []
+    for terms, lm, lc in kept:
+        inv = field.inv(lc)
+        out.append(({m: field.mul(inv, c) for m, c in terms.items()}, lm))
+    out.sort(key=lambda t: key(t[1]), reverse=True)
+    return [t for t, _ in out]
+
+
+def groebner_terms(seed_terms, field, key):
+    """Reduced basis of the ideal the term maps span."""
+    return reduce_basis(buchberger_scan(seed_terms, field, key), field, key)
+
+
+def exact_divide(num_terms, div_terms, field, key):
+    """Quotient of an exact division (raises ArithmeticError if inexact)."""
+    dlm = max(div_terms, key=key)
+    dinv = field.inv(div_terms[dlm])
+    zero = field.zero
+    work = dict(num_terms)
+    quot = {}
+    while work:
+        lm = max(work, key=key)
+        c = work.pop(lm)
+        if not mono_divides(dlm, lm):
+            raise ArithmeticError("inexact division")
+        shift = mono_div(lm, dlm)
+        qc = field.mul(c, dinv)
+        quot[shift] = qc
+        for dm, dc in div_terms.items():
+            if dm == dlm:
+                continue
+            m2 = mono_mul(dm, shift)
+            v = field.sub(work.get(m2, zero), field.mul(qc, dc))
+            if v == zero:
+                work.pop(m2, None)
+            else:
+                work[m2] = v
+    return quot
+
+
+def colon_terms(basis_terms, f_terms, field, key, elim_key):
+    """Reduced basis of (I : f) from a reduced basis of I, via I cap (f).
+
+    ``key`` orders K[x]; ``elim_key`` orders K[x, t] with t dominant.
+    """
+    zero = field.zero
+    ext = [{m + (1,): c for m, c in g.items()} for g in basis_terms]
+    mixed = {m + (0,): c for m, c in f_terms.items()}
+    for m, c in f_terms.items():
+        mt = m + (1,)
+        v = field.sub(mixed.get(mt, zero), c)
+        if v == zero:
+            mixed.pop(mt, None)
+        else:
+            mixed[mt] = v
+    ext.append(mixed)
+    quotients = []
+    for terms in groebner_terms([t for t in ext if t], field, elim_key):
+        if max(terms, key=elim_key)[-1] == 0:
+            inter = {m[:-1]: c for m, c in terms.items()}
+            quotients.append(exact_divide(inter, f_terms, field, key))
+    return groebner_terms(quotients, field, key)

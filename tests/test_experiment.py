@@ -9,7 +9,7 @@ from defectus import (
     run_census, run_monte_carlo, sample_system, system_from_census_index,
 )
 from defectus.experiment import (
-    _verdicts, census_size, coefficient_layout, gaussian_binomial,
+    _binom_cdf, _verdicts, census_size, coefficient_layout, gaussian_binomial,
     matrices_of_rank,
 )
 from defectus.rng import HashStream
@@ -173,6 +173,32 @@ def test_cp_interval_tails_against_brute_force():
         lo, hi = cp_interval(x, n, 0.99)
         assert survival(x, n, lo) == pytest.approx(0.005, abs=1e-9)
         assert 1 - survival(x + 1, n, hi) == pytest.approx(0.005, abs=1e-9)
+
+
+def test_binom_cdf_bit_identical_to_direct_formula():
+    # hoisting the log binomial coefficients out of the p loop keeps
+    # the left-to-right float expression, hence every bit of the sum
+    def direct(x, n, p):
+        if p <= 0.0:
+            return 1.0
+        if p >= 1.0:
+            return 1.0 if x >= n else 0.0
+        lp, l1p = math.log(p), math.log1p(-p)
+        total = 0.0
+        for j in range(x + 1):
+            total += math.exp(
+                math.lgamma(n + 1) - math.lgamma(j + 1)
+                - math.lgamma(n - j + 1) + j * lp + (n - j) * l1p)
+        return min(total, 1.0)
+
+    grid = [(3840, 16384), (0, 1), (0, 200), (0, 16384), (7, 8),
+            (199, 200), (16383, 16384), (3, 40), (57, 1000)]
+    for x, n in grid:
+        cdf = _binom_cdf(x, n)
+        ps = [0.0, 1.0, 1e-9, 1 - 1e-9, x / n, (x + 1) / n,
+              *(k / 13 for k in range(1, 13))]
+        for p in ps:
+            assert cdf(p).hex() == direct(x, n, p).hex(), (x, n, p)
 
 
 def test_mc_thread_independence():

@@ -231,7 +231,7 @@ def test_basis_gens_are_monic_and_sorted(f7):
         assert all(g.leading_coefficient() == f7.one for g in gb.gens)
         assert lms == sorted(lms, key=grevlex_key, reverse=True)
         # reduced: no generator's term is divisible by another's lead
-        from defectus.polynomials import mono_divides
+        from reference_groebner import mono_divides
         for i, g in enumerate(gb.gens):
             for j, h in enumerate(gb.gens):
                 if i == j:
@@ -243,19 +243,85 @@ def test_basis_gens_are_monic_and_sorted(f7):
 @pytest.mark.parametrize("order", [GREVLEX, ELIM_LAST], ids=repr)
 @pytest.mark.parametrize("nvars", [4, 5])
 def test_inverted_key_reverses_order(order, nvars):
-    # the heaps rely on inverted(a) < inverted(b) exactly when b < a
+    # the heaps push -key(m) on packed monomials: -key(a) < -key(b)
+    # must hold exactly when b < a in the order
     mons = monomials_upto(nvars, 4)
+    pk = gbmod._packing(nvars, order)
+    packed = {m: pk.pack(m) for m in mons}
     assert len({order.key(m) for m in mons}) == len(mons)
-    assert len({order.inverted(m) for m in mons}) == len(mons)
-    assert sorted(mons, key=order.inverted) == \
+    assert len({-pk.key(packed[m]) for m in mons}) == len(mons)
+    assert sorted(mons, key=lambda m: -pk.key(packed[m])) == \
         sorted(mons, key=order.key, reverse=True)
 
 
-@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (101, 1)])
-def test_engine_matches_scan_reference(p, k, monkeypatch):
-    # the heap-driven engine must retrace the full-scan engine exactly:
-    # the same unreduced bases term by term, hence the same reduced
-    # bases, remainders and colon ideals under both orders
+@pytest.mark.parametrize("nvars", [4, 5])
+def test_packed_monomials_match_tuples(nvars):
+    # every monomial of degree <= 4: the round trip, both order keys,
+    # and product, quotient, divisibility and lcm on all pairs
+    mons = monomials_upto(nvars, 4)
+    pk = gbmod._packing(nvars, GREVLEX)
+    packed = [pk.pack(m) for m in mons]
+    assert [pk.unpack(m) for m in packed] == mons
+    assert len(set(packed)) == len(mons)
+    for order in (GREVLEX, ELIM_LAST):
+        key = gbmod._packing(nvars, order).key
+        keys = [key(m) for m in packed]
+        assert all(isinstance(k, int) for k in keys)
+        assert len(set(keys)) == len(mons)
+        assert sorted(mons, key=lambda m: key(pk.pack(m))) == \
+            sorted(mons, key=order.key)
+    guard = pk.guard
+    for a, pa in zip(mons, packed):
+        for b, pb in zip(mons, packed):
+            assert pa + pb == pk.pack(reference_groebner.mono_mul(a, b))
+            divides = ((pb + guard - pa) & guard) == guard
+            assert divides == reference_groebner.mono_divides(a, b)
+            if divides:
+                assert pb - pa == pk.pack(reference_groebner.mono_div(b, a))
+            assert pk.lcm(pa, pb) == \
+                pk.pack(reference_groebner.mono_lcm(a, b))
+
+
+def test_packing_limit_raises(f7):
+    limit = gbmod._LIMIT
+    pk = gbmod._packing(4, GREVLEX)
+    top = (limit - 1, 0, 0, 0)
+    assert pk.unpack(pk.pack(top)) == top
+    for e in [(limit, 0, 0, 0), (0, 0, 0, limit),
+              (limit // 2, 0, limit // 2, 0)]:
+        with pytest.raises(ValueError, match="packing limit"):
+            pk.pack(e)
+    big = Poly(f7, 2, {(limit, 0): 1})
+    with pytest.raises(ValueError, match="packing limit"):
+        groebner([big])
+    x = Poly(f7, 2, {(1, 0): 1})
+    with pytest.raises(ValueError, match="packing limit"):
+        normal_form(big, groebner([x]))
+    with pytest.raises(ValueError, match="packing limit"):
+        colon_ideal(groebner([x]), big)
+
+
+def test_packing_overflow_in_computation_raises(f7):
+    # inputs fit, but the computation needs a monomial past the limit;
+    # it must raise rather than wrap into a wrong basis
+    half = 20000
+    x, y = (Poly.variable(f7, 2, i) for i in range(2))
+    xh = Poly(f7, 2, {(half, 0): 1})
+    yh = Poly(f7, 2, {(0, half): 1})
+    with pytest.raises(ValueError, match="packing limit"):
+        groebner([xh + y, yh + x])            # the pair's lcm
+    with pytest.raises(ValueError, match="packing limit"):
+        groebner([y - xh, y * y], ELIM_LAST)  # reducing x^half * y
+    xq = Poly(f7, 2, {(15000, 0): 1})
+    with pytest.raises(ValueError, match="packing limit"):
+        groebner([y - xh, y * xq], ELIM_LAST)  # the S-polynomial
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (101, 1)])
+def test_engine_matches_scan_reference(p, k):
+    # the packed engine must retrace the tuple engine of
+    # reference_groebner exactly: the same unreduced bases term by term,
+    # the same reduced bases, remainders and colon ideals, both orders
     field = field_make(p, k, 0)
     stream = HashStream("engine-reference", p, k)
     cases = []
@@ -265,28 +331,33 @@ def test_engine_matches_scan_reference(p, k, monkeypatch):
         if all(not g.is_zero() for g in gens):
             cases.append((gens, random_poly(field, 3, 3, stream)))
 
-    def terms(poly):
-        return list(poly.terms.items())
+    def items(terms):
+        return list(terms.items())
 
-    def run():
-        out = []
-        for gens, probe in cases:
-            for order in (GREVLEX, ELIM_LAST):
-                seeds = [dict(g.terms) for g in gens]
-                raw = gbmod._buchberger(seeds, field, order)
-                gb = groebner(gens, order)
-                out.append([[list(t.items()) for t, _, _ in raw],
-                            [terms(g) for g in gb.gens],
-                            terms(normal_form(probe, gb))])
-            col = colon_ideal(groebner(gens[:-1]), gens[-1])
-            out.append([terms(g) for g in col.gens])
-        return out
-
-    got = run()
-    with monkeypatch.context() as patch:
-        patch.setattr(gbmod, "_normal_form",
-                      reference_groebner.normal_form_scan)
-        patch.setattr(gbmod, "_buchberger",
-                      reference_groebner.buchberger_scan)
-        expected = run()
-    assert got == expected
+    for gens, probe in cases:
+        seeds = [dict(g.terms) for g in gens]
+        for order in (GREVLEX, ELIM_LAST):
+            pk = gbmod._packing(3, order)
+            raw = gbmod._buchberger([pk.pack_terms(t) for t in seeds],
+                                    field, pk)
+            ref_raw = reference_groebner.buchberger_scan(seeds, field,
+                                                         order.key)
+            assert [items(pk.unpack_terms(t)) for t, _, _ in raw] == \
+                [items(t) for t, _, _ in ref_raw]
+            gb = groebner(gens, order)
+            ref_gb = reference_groebner.reduce_basis(ref_raw, field,
+                                                     order.key)
+            assert [items(g.terms) for g in gb.gens] == \
+                [items(t) for t in ref_gb]
+            ref_rem = reference_groebner.normal_form_scan(
+                probe.terms,
+                [reference_groebner.record(t, order.key) for t in ref_gb],
+                field, order.key)
+            assert items(normal_form(probe, gb).terms) == items(ref_rem)
+        prefix = groebner(gens[:-1])
+        col = colon_ideal(prefix, gens[-1])
+        ref_col = reference_groebner.colon_terms(
+            [g.terms for g in prefix.gens], gens[-1].terms, field,
+            GREVLEX.key, ELIM_LAST.key)
+        assert [items(g.terms) for g in col.gens] == \
+            [items(t) for t in ref_col]
