@@ -32,17 +32,17 @@ not depend on scheduling.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
-from .fields import ensure_min_size
+from .fields import MIN_RANDOMIZED_FIELD, ensure_min_size
 from .groebner import (
-    GroebnerBasis, colon_ideal, groebner, ideal_dimension, normal_form,
-    projective_dimension, _exact_divide,
+    GREVLEX, GroebnerBasis, colon_ideal, groebner, ideal_dimension,
+    normal_form, projective_dimension, _dimension_floor, _exact_divide,
+    _packing,
 )
 from .polynomials import (
-    Poly, PolySystem, embed_poly, jacobian_minors,
+    Poly, PolySystem, canonical_digest, embed_poly, jacobian_minors,
     monomials_upto,
 )
 from .rng import HashStream
@@ -52,7 +52,6 @@ CERTIFIED_REDUCIBLE = "CertifiedReducible"
 UNDETERMINED = "Undetermined"
 
 DEFAULT_WITNESS_BUDGET = 4096
-MIN_RANDOMIZED_FIELD = 1 << 20
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,10 +136,15 @@ def initial_form_criterion(system: PolySystem) -> bool:
 
 
 def _rank_defect_dimension(system: PolySystem) -> int:
-    """Dimension of V(F_s, all s-by-s affine Jacobian minors)."""
+    """Dimension of V(F_s, all s-by-s affine Jacobian minors).
+
+    Exact only above the floor r-s-1, the one threshold its callers
+    test: at or below it the result is some value <= r-s-1, because the
+    basis computation stops once its leading monomials force that bound.
+    """
     gens = list(system.polys) + jacobian_minors(list(system.polys))
-    return ideal_dimension(groebner(gens, field=system.field,
-                                    nvars=system.r))
+    return _dimension_floor(gens, system.r - system.s - 1, system.field,
+                            system.r)
 
 
 def is_radical_ci(system: PolySystem) -> bool:
@@ -163,11 +167,14 @@ def fiber_dimension(system: PolySystem) -> int:
     This is the fiber of the incidence variety over the system; -1 when
     the homogenized system has no rank-defect zero in P^r.  Membership:
     pi(W_{r-s}) iff result >= r-s, pi(W_{r-s-1}) iff result >= r-s-1.
+    Exact: the affine cone is computed with floor 0, and every cone of
+    dimension <= 0 gives -1, so the basis computation may stop as soon
+    as each of X_0..X_r has a pure power among its leading monomials.
     """
     homog = system.homogenized()
     gens = homog + jacobian_minors(homog)
-    gb = groebner(gens, field=system.field, nvars=system.r + 1)
-    return projective_dimension(gb)
+    cone = _dimension_floor(gens, 0, system.field, system.r + 1)
+    return cone - 1 if cone >= 1 else -1
 
 
 def find_reducibility_witness(system: PolySystem,
@@ -182,35 +189,42 @@ def find_reducibility_witness(system: PolySystem,
     V = V(I+G) union V(I+H) splits the zero set into proper parts.
     Returns (i, G, H) or None.
     """
-    field, r = system.field, system.r
+    field, r, q = system.field, system.r, system.field.q
     if gb_affine is None:
         gb_affine = groebner(list(system.polys))
+    pk = _packing(r, GREVLEX)
     for i, f in enumerate(system.polys, start=1):
         if f.is_zero() or f.degree() < 2:
             continue
         fdeg = int(f.degree())
+        fpacked = pk.pack_terms(f.terms)
         for gdeg in range(1, fdeg):
             mons = monomials_upto(r, gdeg)
-            count = field.q ** len(mons)
+            count = q ** len(mons)
             if count > budget:
                 continue
+            elems = [field.element_from_index(d) for d in range(q)]
+            packed = [pk.pack(m) for m in mons]
+            top = {pk.pack(m) for m in mons if sum(m) == gdeg}
             for idx in range(count):
                 terms = {}
                 rest = idx
-                for m in mons:
-                    rest, digit = divmod(rest, field.q)
+                for m in packed:
+                    rest, digit = divmod(rest, q)
                     if digit:
-                        terms[m] = field.element_from_index(digit)
-                cand = Poly(field, r, terms, _clean=True)
-                if cand.degree() != gdeg:
-                    continue
-                if cand.leading_coefficient() != field.one:
+                        terms[m] = elems[digit]
+                # mons descend in grevlex: the first term is the leading one
+                lead = next(iter(terms), None)
+                if lead not in top:
+                    continue  # degree below gdeg
+                if terms[lead] != field.one:
                     continue  # divisors only matter up to scalar
                 try:
-                    quot = _exact_divide(f.terms, cand.terms, field, r)
+                    quot = _exact_divide(fpacked, terms, field, pk)
                 except ArithmeticError:
                     continue
-                other = Poly(field, r, quot, _clean=True)
+                cand = Poly(field, r, pk.unpack_terms(terms), _clean=True)
+                other = Poly(field, r, pk.unpack_terms(quot), _clean=True)
                 if normal_form(cand, gb_affine).is_zero():
                     continue
                 if normal_form(other, gb_affine).is_zero():
@@ -274,13 +288,6 @@ def classify(system: PolySystem,
 
 # -- randomized one-sided cross-checks -----------------------------------
 
-def _gens_digest(polys) -> int:
-    h = hashlib.sha256()
-    for f in polys:
-        h.update(f.canonical_bytes())
-    return int.from_bytes(h.digest()[:8], "big")
-
-
 def kollar_dimension_test(gens, d: int, seed: int = 0) -> bool:
     """Randomized test for dim >= d of a projective zero set.
 
@@ -300,7 +307,7 @@ def kollar_dimension_test(gens, d: int, seed: int = 0) -> bool:
     field = gens[0].field
     n = gens[0].nvars
     big, embed = ensure_min_size(field, MIN_RANDOMIZED_FIELD)
-    stream = HashStream("kollar", seed, _gens_digest(gens), d)
+    stream = HashStream("kollar", seed, canonical_digest(gens), d)
     lifted = [embed_poly(g, big, embed) for g in gens]
     for _ in range(d):
         terms = {}
@@ -331,7 +338,7 @@ def minor_combo_fiber_test(system: PolySystem, count: int,
     homog = system.homogenized()
     minors = jacobian_minors(homog)
     big, embed = ensure_min_size(field, MIN_RANDOMIZED_FIELD)
-    stream = HashStream("minor-combo", seed, _gens_digest(homog), count)
+    stream = HashStream("minor-combo", seed, canonical_digest(homog), count)
     lifted = [embed_poly(g, big, embed) for g in homog]
     lifted_minors = [embed_poly(m, big, embed) for m in minors]
     for _ in range(count):

@@ -461,6 +461,10 @@ def extension_of(base: Field, degree: int, seed: int = 0,
             return ExtensionField(base, degree, modulus)
 
 
+# the randomized cross-checks draw from a field of at least this size
+MIN_RANDOMIZED_FIELD = 1 << 20
+
+
 def ensure_min_size(field: Field, min_size: int, seed: int = 0):
     """Return (big_field, embed) with |big_field| >= min_size.
 

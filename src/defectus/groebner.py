@@ -34,6 +34,24 @@ dimension of the zero set over the algebraic closure, which is why a
 basis computed over F_q decides geometric questions.  Conventions:
 the unit ideal has dimension -1 (empty variety), the zero ideal in n
 variables has dimension n.
+
+Answer-driven stop.  ``_buchberger`` takes one optional callback,
+``stop(var, basis)``, called right after a record whose leading
+monomial is 1 (var -1) or a pure power of x_var joins the basis; when
+it returns true the engine returns the partial basis as it stands.
+Without a callback the engine runs exactly as before.  The stop is
+sound because every record lies in I: LT(partial) is inside LT(I), so
+the dimension read off the partial leading monomials bounds dim I =
+dim LT(I) from above (Cox, Little & O'Shea, *Ideals, Varieties, and
+Algorithms*, ch. 9 sec. 3).  ``_dimension_floor(gens, floor, ...)``
+stops once that bound reaches ``floor``: it returns the exact dimension
+when it exceeds ``floor`` and some value <= ``floor`` otherwise.  For
+floor <= 0 the bound reaches it exactly when every variable has a pure
+power, tracked as a bit mask; a run that never stops reads the
+dimension off the unreduced basis, whose leading monomials already
+generate LT(I), so the basis is never reduced.  ``groebner`` passes a
+callback that stops on a unit record: 1 in I forces the reduced basis
+{1}, so the rest of the run could not change the answer.
 """
 
 from __future__ import annotations
@@ -179,6 +197,19 @@ class _Packing:
             _overflow()
         return m
 
+    def power_var(self, m: int):
+        """i when m is a pure power of x_i, -1 when m is 1, else None."""
+        if not m:
+            return -1
+        e = m & self._exps
+        i = (e.bit_length() - 1) // _WIDTH
+        return i if e == (m >> self._bits) << (i * _WIDTH) else None
+
+    def support(self, m: int) -> int:
+        """Bit mask of the variables that occur in m."""
+        return sum(1 << i for i, s in enumerate(self._shifts)
+                   if (m >> s) & _FIELD)
+
 
 _packing = cache(_Packing)   # one packing per (nvars, order)
 
@@ -264,8 +295,15 @@ def _s_poly(rec_i, rec_j, lcm, field, guard):
     return out
 
 
-def _buchberger(seed_terms, field, pk):
+def _buchberger(seed_terms, field, pk, stop=None):
+    """Unreduced basis of the seeds' ideal, as a list of records.
+
+    ``stop(var, basis)`` is called right after a record whose leading
+    monomial is 1 (var -1) or a pure power of x_var joins ``basis``;
+    when it returns true, the partial basis is returned as it stands.
+    """
     key, guard, lcm_of = pk.key, pk.guard, pk.lcm
+    power_var = pk.power_var
     basis = []
     queue = []       # (key of the lcm, i, j, lcm), smallest rank first
     pending = set()  # the (i, j) in queue, for the chain criterion
@@ -278,10 +316,14 @@ def _buchberger(seed_terms, field, pk):
             heappush(queue, (key(lcm), t, new, lcm))
             pending.add((t, new))
         basis.append(rec)
+        if stop is None:
+            return False
+        var = power_var(rec[1])
+        return var is not None and stop(var, basis)
 
     for terms in seed_terms:
-        if terms:
-            add_record(terms)
+        if terms and add_record(terms):
+            return basis
     while queue:
         _, i, j, lcm = heappop(queue)
         pending.discard((i, j))
@@ -300,8 +342,8 @@ def _buchberger(seed_terms, field, pk):
             continue
         rem = _normal_form(_s_poly(basis[i], basis[j], lcm, field, guard),
                            basis, field, pk)
-        if rem:
-            add_record(rem)
+        if rem and add_record(rem):
+            return basis
     return basis
 
 
@@ -353,10 +395,17 @@ def groebner(gens: Sequence[Poly], order: MonomialOrder = GREVLEX,
         raise ValueError("empty generator list needs field and nvars")
     pk = _packing(nvars, order)
     seed = [pk.pack_terms(g.terms) for g in gens if not g.is_zero()]
-    reduced = _reduce_basis(_buchberger(seed, field, pk), field, pk)
+    basis = _buchberger(seed, field, pk, _stop_on_unit)
+    if basis and not basis[-1][1]:   # a unit record: the basis is {1}
+        return GroebnerBasis(field, nvars, order,
+                             (Poly.constant(field, nvars, field.one),))
     polys = tuple(Poly(field, nvars, pk.unpack_terms(t), _clean=True)
-                  for t, _ in reduced)
+                  for t, _ in _reduce_basis(basis, field, pk))
     return GroebnerBasis(field, nvars, order, polys)
+
+
+def _stop_on_unit(var, basis):
+    return var < 0
 
 
 def normal_form(f: Poly, gb: GroebnerBasis) -> Poly:
@@ -369,19 +418,22 @@ def normal_form(f: Poly, gb: GroebnerBasis) -> Poly:
     return Poly(gb.field, gb.nvars, pk.unpack_terms(rem), _clean=True)
 
 
-def _exact_divide(num_terms, div_terms, field, nvars):
-    """Quotient of an exact division of term maps in ``nvars`` variables.
+def _exact_divide(num, div, field, pk):
+    """Quotient of an exact division of packed term maps.
 
-    Monomials are exponent tuples, ordered by grevlex; raises
-    ArithmeticError if the division is inexact.
+    ``pk`` gives the packing and the order; raises ArithmeticError if
+    the division is inexact.  The smallest monomial of a product is the
+    product of the smallest ones, so a divisor whose smallest monomial
+    does not divide the numerator's is rejected before any arithmetic.
     """
-    pk = _packing(nvars, GREVLEX)
     key, guard = pk.key, pk.guard
-    div = pk.pack_terms(div_terms)
+    if num and (min(num, key=key) + guard
+                - min(div, key=key)) & guard != guard:
+        raise ArithmeticError("inexact division")
     dlm = max(div, key=key)
     dinv = field.inv(div[dlm])
-    zero = field.zero
-    work = pk.pack_terms(num_terms)
+    zero, one = field.zero, field.one
+    work = dict(num)
     quot = {}
     while work:
         lm = max(work, key=key)
@@ -389,7 +441,7 @@ def _exact_divide(num_terms, div_terms, field, nvars):
         if (lm + guard - dlm) & guard != guard:
             raise ArithmeticError("inexact division")
         shift = lm - dlm
-        qc = field.mul(c, dinv)
+        qc = c if dinv == one else field.mul(c, dinv)
         quot[shift] = qc
         for dm, dc in div.items():
             if dm == dlm:
@@ -402,7 +454,7 @@ def _exact_divide(num_terms, div_terms, field, nvars):
                 work.pop(m2, None)
             else:
                 work[m2] = v
-    return pk.unpack_terms(quot)
+    return quot
 
 
 def colon_ideal(gb: GroebnerBasis, f: Poly) -> GroebnerBasis:
@@ -437,14 +489,32 @@ def colon_ideal(gb: GroebnerBasis, f: Poly) -> GroebnerBasis:
         _buchberger([t for t in ext_gens if t], field, pk), field, pk)
     # under the block order, a t-free leading monomial forces the whole
     # element t-free, so these form a grevlex basis of I intersect (f)
+    gpk = _packing(n, GREVLEX)
+    fpacked = gpk.pack_terms(f.terms)
     quotients = []
     for terms, lm in basis:
         if pk.unpack(lm)[-1] == 0:
-            inter = {e[:-1]: c for e, c in pk.unpack_terms(terms).items()}
+            inter = {gpk.pack(e[:-1]): c
+                     for e, c in pk.unpack_terms(terms).items()}
             quotients.append(Poly(
-                field, n, _exact_divide(inter, f.terms, field, n),
+                field, n,
+                gpk.unpack_terms(_exact_divide(inter, fpacked, field, gpk)),
                 _clean=True))
     return groebner(quotients, GREVLEX, field=field, nvars=n)
+
+
+def _independent_dim(supports, n: int) -> int:
+    """Size of a largest subset of the n variables containing no support.
+
+    ``supports`` are the variable bit masks of the leading monomials; an
+    empty support (the monomial 1) excludes even the empty set: -1.
+    """
+    for size in range(n, -1, -1):
+        for subset in combinations(range(n), size):
+            sset = sum(1 << i for i in subset)
+            if all(supp & ~sset for supp in supports):
+                return size
+    return -1
 
 
 def ideal_dimension(gb: GroebnerBasis) -> int:
@@ -453,17 +523,38 @@ def ideal_dimension(gb: GroebnerBasis) -> int:
     -1 for the unit ideal.  Computed as the largest variable subset S
     such that no leading monomial is supported inside S.
     """
-    if gb.is_unit:
-        return -1
-    n = gb.nvars
-    supports = [frozenset(i for i, e in enumerate(g.leading_monomial()) if e)
+    supports = [sum(1 << i for i, e in enumerate(g.leading_monomial()) if e)
                 for g in gb.gens]
-    for size in range(n, -1, -1):
-        for subset in combinations(range(n), size):
-            sset = frozenset(subset)
-            if all(not supp <= sset for supp in supports):
-                return size
-    raise AssertionError("unreachable: empty set is always independent")
+    return _independent_dim(supports, gb.nvars)
+
+
+def _dimension_floor(gens: Sequence[Poly], floor: int, field: Field,
+                     nvars: int) -> int:
+    """Dimension of the ideal the generators span, exact above ``floor``.
+
+    Returns the exact dimension when it exceeds ``floor`` and some value
+    <= ``floor`` otherwise (-1 for the unit ideal).  Buchberger stops as
+    soon as the leading monomials found so far force the dimension down
+    to ``floor``; a run that never stops reads the dimension off the
+    unreduced basis, whose leading monomials already generate LT(I).
+    """
+    pk = _packing(nvars, GREVLEX)
+    seed = [pk.pack_terms(g.terms) for g in gens if not g.is_zero()]
+    full = (1 << nvars) - 1
+    seen = 0   # variables with a pure power among the leading monomials
+
+    def stop(var, basis):
+        nonlocal seen
+        if var < 0:
+            return True
+        if floor <= 0:   # dim <= 0 iff every variable has a pure power
+            seen |= 1 << var
+            return seen == full
+        return _independent_dim([pk.support(rec[1]) for rec in basis],
+                                nvars) <= floor
+
+    basis = _buchberger(seed, field, pk, stop)
+    return _independent_dim([pk.support(rec[1]) for rec in basis], nvars)
 
 
 def _require_homogeneous(gb: GroebnerBasis):

@@ -313,6 +313,14 @@ class Poly:
                           separators=(",", ":")).encode()
 
 
+def canonical_digest(polys) -> int:
+    """64-bit key of a polynomial sequence: SHA-256 of canonical bytes."""
+    h = hashlib.sha256()
+    for f in polys:
+        h.update(f.canonical_bytes())
+    return int.from_bytes(h.digest()[:8], "big")
+
+
 # -- systems -------------------------------------------------------------
 
 @dataclass(frozen=True)

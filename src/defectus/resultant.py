@@ -12,14 +12,11 @@ independent of the Groebner route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import hashlib
 
-from .fields import Field, ensure_min_size
+from .fields import MIN_RANDOMIZED_FIELD, Field, ensure_min_size
 from .groebner import groebner, is_empty
-from .polynomials import Poly, embed_poly, monomials_exact
+from .polynomials import Poly, canonical_digest, embed_poly, monomials_exact
 from .rng import HashStream
-
-MIN_RANDOMIZED_FIELD = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -183,13 +180,6 @@ def _random_invertible(field: Field, n: int, stream: HashStream):
             return mat
 
 
-def _system_digest(polys) -> int:
-    h = hashlib.sha256()
-    for f in polys:
-        h.update(f.canonical_bytes())
-    return int.from_bytes(h.digest()[:8], "big")
-
-
 def resultant_vanishes(polys, degrees, seed: int = 0) -> bool:
     """True iff Res = 0, i.e. the projective zero set is nonempty.
 
@@ -206,7 +196,7 @@ def resultant_vanishes(polys, degrees, seed: int = 0) -> bool:
 
     big, embed = ensure_min_size(field, MIN_RANDOMIZED_FIELD)
     lifted = [embed_poly(f, big, embed) for f in polys]
-    stream = HashStream("resultant", seed, _system_digest(polys))
+    stream = HashStream("resultant", seed, canonical_digest(polys))
     r = len(polys)
     for _ in range(4):
         mat = _random_invertible(big, r, stream)

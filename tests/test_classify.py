@@ -8,7 +8,7 @@ from defectus import (
     find_reducibility_witness, groebner, ideal_dimension, in_B0,
     initial_form_criterion, is_radical_ci, is_regular_sequence,
     kollar_dimension_test, matrix_rank, minor_combo_fiber_test,
-    projective_dimension, sample_system, system_from_census_index,
+    normal_form, projective_dimension, sample_system, system_from_census_index,
 )
 from defectus.rng import HashStream
 
@@ -184,7 +184,6 @@ def test_witness_budget_skips(f101):
 def test_witness_certificate_semantics(f3):
     # whenever a witness is reported on an ITCI system, its parts must
     # multiply back to the generator and both survive reduction
-    from defectus import normal_form
     inputs = BoundInputs(3, 2, 3, (2, 2))
     found = 0
     for idx in range(120):
@@ -267,3 +266,54 @@ def test_report_pickles_unchanged(f7):
     back = pickle.loads(pickle.dumps(rep))
     assert back == rep
     assert back.to_json_dict() == rep.to_json_dict()
+
+
+def _reference_witness(system, gb):
+    # the enumeration on exponent tuples, with the reference division
+    from defectus.classify import DEFAULT_WITNESS_BUDGET
+    from defectus.polynomials import grevlex_key, monomials_upto
+    from reference_groebner import exact_divide
+    field, r = system.field, system.r
+    for i, f in enumerate(system.polys, start=1):
+        if f.is_zero() or f.degree() < 2:
+            continue
+        for gdeg in range(1, int(f.degree())):
+            mons = monomials_upto(r, gdeg)
+            count = field.q ** len(mons)
+            if count > DEFAULT_WITNESS_BUDGET:
+                continue
+            for idx in range(count):
+                terms, rest = {}, idx
+                for m in mons:
+                    rest, digit = divmod(rest, field.q)
+                    if digit:
+                        terms[m] = field.element_from_index(digit)
+                cand = Poly(field, r, terms)
+                if cand.degree() != gdeg \
+                        or cand.leading_coefficient() != field.one:
+                    continue
+                try:
+                    quot = exact_divide(f.terms, terms, field, grevlex_key)
+                except ArithmeticError:
+                    continue
+                other = Poly(field, r, quot)
+                if normal_form(cand, gb).is_zero() \
+                        or normal_form(other, gb).is_zero():
+                    continue
+                return i, cand, other
+    return None
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (2, 2)])
+def test_witness_matches_reference_enumeration(p, k):
+    # the packed search returns the reference's first (i, G, H)
+    field = field_make(p, k)
+    inputs = BoundInputs(3, 2, field.q, (2, 2))
+    hits = 0
+    for idx in range(40):
+        system = sample_system(inputs, field, HashStream("witness-ref", idx))
+        gb = groebner(list(system.polys))
+        hit = find_reducibility_witness(system, gb)
+        assert hit == _reference_witness(system, gb)
+        hits += hit is not None
+    assert hits
