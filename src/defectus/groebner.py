@@ -36,22 +36,23 @@ the unit ideal has dimension -1 (empty variety), the zero ideal in n
 variables has dimension n.
 
 Answer-driven stop.  ``_buchberger`` takes one optional callback,
-``stop(var, basis)``, called right after a record whose leading
-monomial is 1 (var -1) or a pure power of x_var joins the basis; when
-it returns true the engine returns the partial basis as it stands.
-Without a callback the engine runs exactly as before.  The stop is
-sound because every record lies in I: LT(partial) is inside LT(I), so
-the dimension read off the partial leading monomials bounds dim I =
-dim LT(I) from above (Cox, Little & O'Shea, *Ideals, Varieties, and
-Algorithms*, ch. 9 sec. 3).  ``_dimension_floor(gens, floor, ...)``
-stops once that bound reaches ``floor``: it returns the exact dimension
-when it exceeds ``floor`` and some value <= ``floor`` otherwise.  For
-floor <= 0 the bound reaches it exactly when every variable has a pure
-power, tracked as a bit mask; a run that never stops reads the
-dimension off the unreduced basis, whose leading monomials already
-generate LT(I), so the basis is never reduced.  ``groebner`` passes a
-callback that stops on a unit record: 1 in I forces the reduced basis
-{1}, so the rest of the run could not change the answer.
+``stop(var)``, called right after a record whose leading monomial is 1
+(var -1) or a pure power of x_var joins the basis; when it returns
+true the engine returns the partial basis as it stands.  Without a
+callback the engine runs exactly as before.  The stop is sound because
+every record lies in I: LT(partial) is inside LT(I), so the dimension
+read off the partial leading monomials bounds dim I = dim LT(I) from
+above (Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*,
+ch. 9 sec. 3).  A unit record puts 1 in I, which forces the reduced
+basis {1} and the dimension -1.  A pure power of x_i keeps x_i out of
+every independent subset, so with pure powers of k distinct variables
+dim I <= n - k.  ``_dimension_floor(gens, floor, ...)`` stops on a
+unit record, or once n - k <= ``floor``; either way the dimension read
+off the partial basis is exact when it exceeds ``floor`` and <=
+``floor`` otherwise (dim <= 0 iff every variable has a pure power).  A
+run that never stops reads the dimension off the unreduced basis,
+whose leading monomials already generate LT(I), so the basis is never
+reduced.
 """
 
 from __future__ import annotations
@@ -298,8 +299,8 @@ def _s_poly(rec_i, rec_j, lcm, field, guard):
 def _buchberger(seed_terms, field, pk, stop=None):
     """Unreduced basis of the seeds' ideal, as a list of records.
 
-    ``stop(var, basis)`` is called right after a record whose leading
-    monomial is 1 (var -1) or a pure power of x_var joins ``basis``;
+    ``stop(var)`` is called right after a record whose leading
+    monomial is 1 (var -1) or a pure power of x_var joins the basis;
     when it returns true, the partial basis is returned as it stands.
     """
     key, guard, lcm_of = pk.key, pk.guard, pk.lcm
@@ -319,7 +320,7 @@ def _buchberger(seed_terms, field, pk, stop=None):
         if stop is None:
             return False
         var = power_var(rec[1])
-        return var is not None and stop(var, basis)
+        return var is not None and stop(var)
 
     for terms in seed_terms:
         if terms and add_record(terms):
@@ -395,17 +396,10 @@ def groebner(gens: Sequence[Poly], order: MonomialOrder = GREVLEX,
         raise ValueError("empty generator list needs field and nvars")
     pk = _packing(nvars, order)
     seed = [pk.pack_terms(g.terms) for g in gens if not g.is_zero()]
-    basis = _buchberger(seed, field, pk, _stop_on_unit)
-    if basis and not basis[-1][1]:   # a unit record: the basis is {1}
-        return GroebnerBasis(field, nvars, order,
-                             (Poly.constant(field, nvars, field.one),))
+    basis = _buchberger(seed, field, pk)
     polys = tuple(Poly(field, nvars, pk.unpack_terms(t), _clean=True)
                   for t, _ in _reduce_basis(basis, field, pk))
     return GroebnerBasis(field, nvars, order, polys)
-
-
-def _stop_on_unit(var, basis):
-    return var < 0
 
 
 def normal_form(f: Poly, gb: GroebnerBasis) -> Poly:
@@ -533,25 +527,22 @@ def _dimension_floor(gens: Sequence[Poly], floor: int, field: Field,
     """Dimension of the ideal the generators span, exact above ``floor``.
 
     Returns the exact dimension when it exceeds ``floor`` and some value
-    <= ``floor`` otherwise (-1 for the unit ideal).  Buchberger stops as
-    soon as the leading monomials found so far force the dimension down
-    to ``floor``; a run that never stops reads the dimension off the
-    unreduced basis, whose leading monomials already generate LT(I).
+    <= ``floor`` otherwise (-1 for the unit ideal).  Buchberger stops on
+    a unit record, or once pure powers of nvars - ``floor`` variables
+    force the dimension down to ``floor``; a run that never stops reads
+    the dimension off the unreduced basis, whose leading monomials
+    already generate LT(I).
     """
     pk = _packing(nvars, GREVLEX)
     seed = [pk.pack_terms(g.terms) for g in gens if not g.is_zero()]
-    full = (1 << nvars) - 1
-    seen = 0   # variables with a pure power among the leading monomials
+    pure = 0   # bit mask of the variables with a pure power so far
 
-    def stop(var, basis):
-        nonlocal seen
+    def stop(var):
+        nonlocal pure
         if var < 0:
             return True
-        if floor <= 0:   # dim <= 0 iff every variable has a pure power
-            seen |= 1 << var
-            return seen == full
-        return _independent_dim([pk.support(rec[1]) for rec in basis],
-                                nvars) <= floor
+        pure |= 1 << var
+        return nvars - pure.bit_count() <= floor
 
     basis = _buchberger(seed, field, pk, stop)
     return _independent_dim([pk.support(rec[1]) for rec in basis], nvars)
