@@ -6,8 +6,8 @@ seeded census / Monte Carlo harness that verifies the bounds.
 """
 
 from .bounds import (
-    BoundInputs, BoundReport, BudgetExceeded, bezout_degree_bound,
-    decimal_string, derive, enumerate_points, point_count_bound,
+    BoundInputs, BoundReport, BudgetExceeded, decimal_string, derive,
+    enumerate_points, point_count_bound,
 )
 from .classify import (
     CERTIFIED_IRREDUCIBLE, CERTIFIED_REDUCIBLE, UNDETERMINED,

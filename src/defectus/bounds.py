@@ -165,16 +165,6 @@ def point_count_bound(degree: int, dim: int, q: int) -> int:
     return degree * q ** dim
 
 
-def bezout_degree_bound(degrees) -> int:
-    """Product of degrees, bounding the degree of the intersection."""
-    out = 1
-    for d in degrees:
-        if d < 0:
-            raise ValueError("negative degree")
-        out *= d
-    return out
-
-
 def enumerate_points(system: PolySystem, ext_degree: int = 1,
                      budget: int = None):
     """Exhaustive scan for the zeros of the system in F_{q^k}^r.

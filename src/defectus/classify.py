@@ -5,8 +5,13 @@ The exact flags:
 * ``in_B0``: all declared degrees attained and the affine zero set is
   empty over the closure.
 * ``regular_sequence``: each F_i is neither zero nor a zero divisor
-  modulo its predecessors and the full ideal is proper, decided by
-  staged colon-ideal tests.  Order-sensitive by definition.
+  modulo its predecessors and the full ideal is proper.  Order-sensitive
+  by definition.  Decided by prefix dimension: K[X] is Cohen-Macaulay,
+  so F_1..F_s is regular iff every prefix ideal I_i = (F_1..F_i) has
+  dimension exactly r-i, and the first prefix that misses r-i is the
+  first failing index (Eisenbud, *Commutative Algebra*, ch. 17-18).
+  Krull's principal ideal theorem gives dim I_i >= r-i for a proper
+  I_i, so a prefix fails by being too large or by being the unit ideal.
 * ``ideal_theoretic_ci``: regular sequence whose ideal is radical.
   Radicality for a complete intersection over the perfect ground field
   reduces to generic smoothness: the ideal is radical iff the locus
@@ -37,10 +42,11 @@ from typing import Optional
 
 from .fields import MIN_RANDOMIZED_FIELD, ensure_min_size
 from .groebner import (
-    GREVLEX, GroebnerBasis, colon_ideal, groebner, ideal_dimension,
-    normal_form, projective_dimension, _dimension_floor, _exact_divide,
-    _packing,
+    GREVLEX, GroebnerBasis, groebner, ideal_dimension, normal_form,
+    projective_dimension, _dimension_floor, _exact_divide, _packing,
 )
+# not called here: bench/tracing.py wraps it; --trace 1 stops without it
+from .groebner import colon_ideal  # noqa: F401
 from .polynomials import (
     Poly, PolySystem, canonical_digest, embed_poly, jacobian_minors,
     monomials_upto,
@@ -101,21 +107,23 @@ def in_B0(system: PolySystem) -> bool:
     return groebner(list(system.polys)).is_unit
 
 
-def is_regular_sequence(system: PolySystem):
-    """Staged exact test; returns (ok, first failing 1-based index).
+def is_regular_sequence(system: PolySystem,
+                        gb_affine: GroebnerBasis = None):
+    """Exact test by prefix dimension; returns (ok, first failing index).
 
-    Stage i fails when F_i is zero, when F_i is a zero divisor modulo
-    (F_1..F_{i-1}) (colon ideal grows), or when adjoining F_i makes the
-    ideal improper.
+    Stage i fails when dim (F_1..F_i) != r-i: F_i is zero or a zero
+    divisor modulo its predecessors (the dimension stays r-i+1), or the
+    prefix is the unit ideal (-1; r-i >= 1 because s < r).  Each prefix
+    runs with floor r-i-1, at which only the unit ideal lands; the full
+    ideal reads ``gb_affine`` when the caller already holds it.
     """
-    gb = None
-    for i, f in enumerate(system.polys, start=1):
-        if f.is_zero():
-            return False, i
-        if i > 1 and colon_ideal(gb, f) != gb:
-            return False, i
-        gb = groebner(list(system.polys[:i]))
-        if gb.is_unit:
+    field, r = system.field, system.r
+    for i in range(1, system.s + 1):
+        if i == system.s and gb_affine is not None:
+            dim = ideal_dimension(gb_affine)
+        else:
+            dim = _dimension_floor(system.polys[:i], r - i - 1, field, r)
+        if dim != r - i:
             return False, i
     return True, None
 
@@ -125,8 +133,8 @@ def initial_form_criterion(system: PolySystem) -> bool:
 
     Requires all degrees full.  True iff the initial forms cut the
     minimal possible dimension r-1-s in P^(r-1); this forces the
-    initial forms, hence the system, to be a regular sequence.  Cheap
-    pre-filter: one basis in r variables, no colon ideals.
+    initial forms, hence the system, to be a regular sequence.  One
+    basis in r variables; sufficient, not necessary.
     """
     if not all(system.degree_full()):
         raise ValueError("initial-form criterion needs full degrees")
@@ -249,11 +257,7 @@ def classify(system: PolySystem,
     affine_empty = gb_aff.is_unit
     b0 = all_full and affine_empty
 
-    if all_full and not affine_empty and initial_form_criterion(system):
-        rs, fail_idx = True, None
-    else:
-        rs, fail_idx = is_regular_sequence(system)
-
+    rs, fail_idx = is_regular_sequence(system, gb_aff)
     stci = (not affine_empty) and ideal_dimension(gb_aff) == r - s
     itci = rs and _rank_defect_dimension(system) <= r - s - 1
 
@@ -317,8 +321,8 @@ def kollar_dimension_test(gens, d: int, seed: int = 0) -> bool:
                 mono = tuple(1 if t == i else 0 for t in range(n))
                 terms[mono] = c
         lifted.append(Poly(big, n, terms, _clean=True))
-    gb = groebner(lifted, field=big, nvars=n)
-    return ideal_dimension(gb) >= 1  # cone of a nonempty projective set
+    # cone of a nonempty projective set; floor 0 decides dim >= 1 exactly
+    return _dimension_floor(lifted, 0, big, n) >= 1
 
 
 def minor_combo_fiber_test(system: PolySystem, count: int,
@@ -347,5 +351,5 @@ def minor_combo_fiber_test(system: PolySystem, count: int,
             lam = big.element_from_index(stream.randint(big.q))
             acc = acc + mpoly.scale(lam)
         lifted.append(acc)
-    gb = groebner(lifted, field=big, nvars=system.r + 1)
-    return projective_dimension(gb)
+    cone = _dimension_floor(lifted, 0, big, system.r + 1)
+    return cone - 1 if cone >= 1 else -1

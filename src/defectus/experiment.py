@@ -19,7 +19,7 @@ import math
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -113,52 +113,20 @@ class OutcomeCounts:
         )
 
     def __add__(self, other: "OutcomeCounts"):
-        if not self.degree_drop:
-            drops = other.degree_drop
-        elif not other.degree_drop:
-            drops = self.degree_drop
-        else:
-            drops = tuple(a + b for a, b in
-                          zip(self.degree_drop, other.degree_drop))
-        return OutcomeCounts(
-            n=self.n + other.n,
-            in_B0=self.in_B0 + other.in_B0,
-            in_B1=self.in_B1 + other.in_B1,
-            in_B2_lower=self.in_B2_lower + other.in_B2_lower,
-            in_B2_upper=self.in_B2_upper + other.in_B2_upper,
-            certified_irreducible=(self.certified_irreducible
-                                   + other.certified_irreducible),
-            certified_reducible=(self.certified_reducible
-                                 + other.certified_reducible),
-            undetermined=self.undetermined + other.undetermined,
-            regular_sequence=self.regular_sequence + other.regular_sequence,
-            set_theoretic_ci=self.set_theoretic_ci + other.set_theoretic_ci,
-            ideal_theoretic_ci=(self.ideal_theoretic_ci
-                                + other.ideal_theoretic_ci),
-            in_piW_rs=self.in_piW_rs + other.in_piW_rs,
-            in_piW_rs1=self.in_piW_rs1 + other.in_piW_rs1,
-            in_L=self.in_L + other.in_L,
-            degree_drop=drops,
-        )
+        merged = {}
+        for f in fields(self):
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            if f.name == "degree_drop":  # () is the empty merge
+                merged[f.name] = (tuple(map(sum, zip(a, b)))
+                                  if a and b else a or b)
+            else:
+                merged[f.name] = a + b
+        return OutcomeCounts(**merged)
 
     def to_json_dict(self):
-        return {
-            "n": self.n,
-            "in_B0": self.in_B0,
-            "in_B1": self.in_B1,
-            "in_B2_lower": self.in_B2_lower,
-            "in_B2_upper": self.in_B2_upper,
-            "certified_irreducible": self.certified_irreducible,
-            "certified_reducible": self.certified_reducible,
-            "undetermined": self.undetermined,
-            "regular_sequence": self.regular_sequence,
-            "set_theoretic_ci": self.set_theoretic_ci,
-            "ideal_theoretic_ci": self.ideal_theoretic_ci,
-            "in_piW_rs": self.in_piW_rs,
-            "in_piW_rs1": self.in_piW_rs1,
-            "in_L": self.in_L,
-            "degree_drop": list(self.degree_drop),
-        }
+        blob = {f.name: getattr(self, f.name) for f in fields(self)}
+        blob["degree_drop"] = list(self.degree_drop)
+        return blob
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ run) parallelize over the available cores.
 
 import json
 import math
-import multiprocessing
 import os
 from fractions import Fraction
 
@@ -21,6 +20,7 @@ from defectus import (
     run_monte_carlo, sample_system, system_from_census_index,
 )
 from defectus.cli import main as cli_main
+from defectus.experiment import _map_chunks, _ranges
 from defectus.polynomials import monomials_exact
 from defectus.rng import HashStream
 
@@ -33,18 +33,6 @@ def _verdict(name, ok, detail=""):
         line += f" [{detail}]"
     print(line)
     assert ok, line
-
-
-def _pmap(worker, jobs):
-    if THREADS <= 1 or len(jobs) <= 1:
-        return [worker(j) for j in jobs]
-    with multiprocessing.get_context("fork").Pool(THREADS) as pool:
-        return pool.map(worker, jobs)
-
-
-def _ranges(total, chunks):
-    step = (total + chunks - 1) // chunks
-    return [(a, min(a + step, total)) for a in range(0, total, step)]
 
 
 # -- criterion 1: linear-case exact census --------------------------------
@@ -90,14 +78,15 @@ def _crit2_worker(rng):
                     violations.append((idx, "witness exists in cover"))
         if full and initial_form_criterion(system) \
                 and not is_regular_sequence(system)[0]:
-            violations.append((idx, "initial-form prefilter unsound"))
+            violations.append((idx, "initial-form criterion unsound"))
     return violations
 
 
 def test_criterion_2_cover_soundness_exhaustive():
     total = 2 ** 14
     violations = []
-    for part in _pmap(_crit2_worker, _ranges(total, THREADS * 8)):
+    jobs = _ranges(total, THREADS * 8)
+    for part in _map_chunks(_crit2_worker, jobs, THREADS):
         violations.extend(part)
     _verdict("criterion 2: cover soundness on all 16384 systems "
              "(q=2, d=(2,1))", not violations,
@@ -168,7 +157,8 @@ def _crit5_worker(rng):
 
 def test_criterion_5_resultant_oracle_equivalence():
     disagreements = []
-    for part in _pmap(_crit5_worker, _ranges(200, THREADS * 4)):
+    jobs = _ranges(200, THREADS * 4)
+    for part in _map_chunks(_crit5_worker, jobs, THREADS):
         disagreements.extend(part)
 
     field = field_make(101, 1)
@@ -238,7 +228,8 @@ def _crit6_worker(rng):
 def test_criterion_6_randomized_tests_one_sided():
     total = 500
     forced = kagree = c1agree = c2agree = 0
-    for part in _pmap(_crit6_worker, _ranges(total, THREADS * 8)):
+    jobs = _ranges(total, THREADS * 8)
+    for part in _map_chunks(_crit6_worker, jobs, THREADS):
         forced += part[0]
         kagree += part[1]
         c1agree += part[2]

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from defectus import (
-    BoundInputs, BudgetExceeded, Poly, PolySystem, bezout_degree_bound,
-    decimal_string, derive, enumerate_points, field_make, groebner,
-    ideal_dimension, point_count_bound, sample_system,
+    BoundInputs, BudgetExceeded, Poly, PolySystem, decimal_string, derive,
+    enumerate_points, field_make, groebner, ideal_dimension,
+    point_count_bound, sample_system,
 )
 from defectus.rng import HashStream
 
@@ -84,11 +84,6 @@ def test_point_count_examples():
     assert point_count_bound(0, 5, 3) == 0
     with pytest.raises(ValueError):
         point_count_bound(-1, 1, 3)
-
-
-def test_bezout_helper():
-    assert bezout_degree_bound((2, 3, 1)) == 6
-    assert bezout_degree_bound(()) == 1
 
 
 def test_enumerate_points_example(f2):

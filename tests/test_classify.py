@@ -1,15 +1,18 @@
 import pickle
+from collections import Counter
 
 import pytest
 
 from defectus import (
     CERTIFIED_IRREDUCIBLE, CERTIFIED_REDUCIBLE, BoundInputs, Poly,
-    PolySystem, classify, fiber_dimension, field_make,
+    PolySystem, classify, colon_ideal, fiber_dimension, field_make,
     find_reducibility_witness, groebner, ideal_dimension, in_B0,
     initial_form_criterion, is_radical_ci, is_regular_sequence,
     kollar_dimension_test, matrix_rank, minor_combo_fiber_test,
-    normal_form, projective_dimension, sample_system, system_from_census_index,
+    normal_form, prime_power_decompose, projective_dimension, sample_system,
+    system_from_census_index,
 )
+from defectus.experiment import census_size
 from defectus.rng import HashStream
 
 from conftest import random_poly
@@ -45,10 +48,79 @@ def test_regular_sequence_examples(f7):
 def test_regular_sequence_zero_and_improper(f7):
     leading_zero = _system(f7, (1, 1), [{}, {(0, 1, 0): 1}])
     assert is_regular_sequence(leading_zero) == (False, 1)
-    # stages proper and colon clean, but the full ideal is (1)
+    # the first prefix has dimension r-1, but the full ideal is (1)
     improper = _system(f7, (1, 1),
                        [{(1, 0, 0): 1}, {(1, 0, 0): 1, (0, 0, 0): 1}])
     assert is_regular_sequence(improper) == (False, 2)
+
+
+def _colon_regular_sequence(system):
+    # the staged colon-ideal test: stage i fails when F_i is zero, when
+    # (F_1..F_{i-1} : F_i) grows, or when the prefix ideal becomes (1)
+    gb = None
+    for i, f in enumerate(system.polys, start=1):
+        if f.is_zero():
+            return False, i
+        if i > 1 and colon_ideal(gb, f) != gb:
+            return False, i
+        gb = groebner(list(system.polys[:i]))
+        if gb.is_unit:
+            return False, i
+    return True, None
+
+
+def _regular_sequence_disagreements(systems):
+    """Systems where a dimension-based answer differs from the colon test;
+    also the Counter of reference answers, to show both outcomes occur."""
+    bad, seen = [], Counter()
+    for system in systems:
+        want = _colon_regular_sequence(system)
+        seen[want] += 1
+        rep = classify(system)
+        gb = groebner(list(system.polys), field=system.field, nvars=system.r)
+        got = (is_regular_sequence(system),
+               is_regular_sequence(system, gb),
+               (rep.regular_sequence, rep.regular_sequence_failure_index))
+        if any(answer != want for answer in got):
+            bad.append((system.digest(), want, got))
+    return bad, seen
+
+
+def _rs_draws(q, r, d, count):
+    p, k = prime_power_decompose(q)
+    field = field_make(p, k)
+    s = len(d)
+    inputs = BoundInputs(r, s, q, d)
+    return (sample_system(inputs, field, HashStream("rsproto", q, r, s, i))
+            for i in range(count))
+
+
+@pytest.mark.parametrize("q,d,count", [(2, (1, 1, 1), 600),
+                                       (3, (2, 1, 1), 250)])
+def test_regular_sequence_matches_colon_ideals(q, d, count):
+    bad, seen = _regular_sequence_disagreements(_rs_draws(q, 4, d, count))
+    assert not bad
+    assert seen[(True, None)] and len(seen) > 1
+
+
+@pytest.mark.slow
+def test_regular_sequence_matches_colon_ideals_census_q2(f2):
+    inputs = BoundInputs(3, 2, 2, (2, 1))
+    systems = (system_from_census_index(inputs, f2, idx)
+               for idx in range(census_size(inputs)))
+    bad, seen = _regular_sequence_disagreements(systems)
+    assert not bad
+    assert sum(seen.values()) == 16384 and len(seen) == 3
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("q,r,d,count", [
+    (2, 4, (1, 1, 1), 2000), (3, 4, (2, 1, 1), 400), (2, 4, (2, 2), 300),
+    (4, 3, (2, 2), 200), (3, 5, (2, 2, 1), 150), (2, 5, (2, 1, 1, 1), 600),
+])
+def test_regular_sequence_matches_colon_ideals_at_scale(q, r, d, count):
+    bad, _ = _regular_sequence_disagreements(_rs_draws(q, r, d, count))
+    assert not bad
 
 
 def test_initial_form_criterion_examples(f7):
