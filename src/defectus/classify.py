@@ -37,7 +37,7 @@ not depend on scheduling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .fields import MIN_RANDOMIZED_FIELD, ensure_min_size
@@ -78,23 +78,9 @@ class ClassificationReport:
     in_B2_upper: bool
 
     def to_json_dict(self):
-        return {
-            "degree_full": list(self.degree_full),
-            "in_L": self.in_L,
-            "in_B0": self.in_B0,
-            "regular_sequence": self.regular_sequence,
-            "regular_sequence_failure_index":
-                self.regular_sequence_failure_index,
-            "set_theoretic_ci": self.set_theoretic_ci,
-            "ideal_theoretic_ci": self.ideal_theoretic_ci,
-            "fiber_dim": self.fiber_dim,
-            "in_piW_rs": self.in_piW_rs,
-            "in_piW_rs1": self.in_piW_rs1,
-            "irreducibility": self.irreducibility,
-            "in_B1": self.in_B1,
-            "in_B2_lower": self.in_B2_lower,
-            "in_B2_upper": self.in_B2_upper,
-        }
+        blob = {f.name: getattr(self, f.name) for f in fields(self)}
+        blob["degree_full"] = list(self.degree_full)
+        return blob
 
 
 def in_B0(system: PolySystem) -> bool:
@@ -186,15 +172,15 @@ def fiber_dimension(system: PolySystem) -> int:
 
 
 def find_reducibility_witness(system: PolySystem,
-                              gb_affine: GroebnerBasis = None,
-                              budget: int = DEFAULT_WITNESS_BUDGET):
+                              gb_affine: GroebnerBasis = None):
     """Search for F_i = G*H with G, H both outside the ideal.
 
     Sound and deliberately incomplete: divisors are found by exhaustive
     enumeration of low-degree candidates, skipped entirely when the
-    candidate count exceeds ``budget``.  The two normal-form checks
-    subsume coprimality; with a radical ideal they certify that
-    V = V(I+G) union V(I+H) splits the zero set into proper parts.
+    candidate count exceeds ``DEFAULT_WITNESS_BUDGET``.  The two
+    normal-form checks subsume coprimality; with a radical ideal they
+    certify that V = V(I+G) union V(I+H) splits the zero set into
+    proper parts.
     Returns (i, G, H) or None.
     """
     field, r, q = system.field, system.r, system.field.q
@@ -209,7 +195,7 @@ def find_reducibility_witness(system: PolySystem,
         for gdeg in range(1, fdeg):
             mons = monomials_upto(r, gdeg)
             count = q ** len(mons)
-            if count > budget:
+            if count > DEFAULT_WITNESS_BUDGET:
                 continue
             elems = [field.element_from_index(d) for d in range(q)]
             packed = [pk.pack(m) for m in mons]
@@ -241,9 +227,7 @@ def find_reducibility_witness(system: PolySystem,
     return None
 
 
-def classify(system: PolySystem,
-             witness_budget: int = DEFAULT_WITNESS_BUDGET
-             ) -> ClassificationReport:
+def classify(system: PolySystem) -> ClassificationReport:
     """Fill every report field; exact except the certified trichotomy.
 
     Pure and deterministic in the system alone; safe to run on many
@@ -265,8 +249,7 @@ def classify(system: PolySystem,
 
     if all_full and not b0 and fdim <= r - s - 2:
         irreducibility = CERTIFIED_IRREDUCIBLE
-    elif itci and find_reducibility_witness(
-            system, gb_aff, witness_budget) is not None:
+    elif itci and find_reducibility_witness(system, gb_aff) is not None:
         irreducibility = CERTIFIED_REDUCIBLE
     else:
         irreducibility = UNDETERMINED

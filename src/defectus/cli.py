@@ -52,7 +52,6 @@ def _add_shape_flags(sub):
 
 
 def _add_output_flags(sub):
-    sub.add_argument("--format", default="json", choices=["json"])
     sub.add_argument("--out", type=str, default=None,
                      help="write the report here instead of stdout")
 
@@ -130,13 +129,9 @@ def _cmd_census(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(_CSV_COLUMNS)
             for idx, rep in rows:
-                writer.writerow([
-                    idx, int(rep.in_L), int(rep.in_B0),
-                    int(rep.regular_sequence), int(rep.set_theoretic_ci),
-                    int(rep.ideal_theoretic_ci), rep.fiber_dim,
-                    rep.irreducibility, int(rep.in_B1),
-                    int(rep.in_B2_lower), int(rep.in_B2_upper),
-                ])
+                values = [getattr(rep, name) for name in _CSV_COLUMNS[1:]]
+                writer.writerow([idx] + [int(v) if isinstance(v, bool)
+                                         else v for v in values])
     _emit(report.to_json_dict(include_meta=not args.no_meta), args)
     return 0
 

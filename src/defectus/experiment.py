@@ -21,15 +21,15 @@ import os
 import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Optional
+from functools import cache
 
 from .bounds import (
     BoundInputs, BoundReport, BudgetExceeded, decimal_string, derive,
     enumeration_budget,
 )
 from .classify import (
-    CERTIFIED_IRREDUCIBLE, CERTIFIED_REDUCIBLE, DEFAULT_WITNESS_BUDGET,
-    ClassificationReport, classify,
+    CERTIFIED_IRREDUCIBLE, CERTIFIED_REDUCIBLE, ClassificationReport,
+    classify,
 )
 from .fields import Field, field_make, prime_power_decompose
 from .polynomials import Poly, PolySystem, monomials_upto
@@ -46,10 +46,7 @@ class ExperimentConfig:
     n_samples: int = 0              # Monte Carlo only
     seed: int = 0
     threads: int = 1
-    census_budget: Optional[int] = None
-    witness_budget: int = DEFAULT_WITNESS_BUDGET
     confidence: float = CONFIDENCE_DEFAULT
-    field_seed: int = 0
 
     def __post_init__(self):
         if self.mode not in ("monte_carlo", "census"):
@@ -61,7 +58,7 @@ class ExperimentConfig:
 
     def build_field(self) -> Field:
         p, k = prime_power_decompose(self.inputs.q)
-        return field_make(p, k, self.field_seed)
+        return field_make(p, k)
 
 
 @dataclass(frozen=True)
@@ -182,24 +179,38 @@ class EstimateReport:
 
 # -- sampling and census decoding ----------------------------------------
 
+@cache
+def _layout(r: int, d: tuple):
+    return tuple(tuple(monomials_upto(r, di)) for di in d)
+
+
 def coefficient_layout(inputs: BoundInputs):
     """Monomial slots per generator, in canonical descending order."""
-    return [monomials_upto(inputs.r, di) for di in inputs.d]
+    return _layout(inputs.r, tuple(inputs.d))
+
+
+def _system_from_digits(inputs: BoundInputs, field: Field,
+                        digits) -> PolySystem:
+    """Fill the layout slot by slot with the element indices ``digits``."""
+    digits = iter(digits)
+    polys = []
+    for mons in coefficient_layout(inputs):
+        # zip pulls a digit only while the generator has a slot left
+        terms = {m: field.element_from_index(dig)
+                 for m, dig in zip(mons, digits) if dig}
+        polys.append(Poly(field, inputs.r, terms, _clean=True))
+    return PolySystem(field, inputs.r, inputs.s, tuple(inputs.d),
+                      tuple(polys))
 
 
 def sample_system(inputs: BoundInputs, field: Field,
                   stream: HashStream) -> PolySystem:
-    """One uniform draw from the coefficient space F_{d_s}."""
-    polys = []
-    for mons in coefficient_layout(inputs):
-        terms = {}
-        for m in mons:
-            idx = stream.randint(field.q)
-            if idx:
-                terms[m] = field.element_from_index(idx)
-        polys.append(Poly(field, inputs.r, terms, _clean=True))
-    return PolySystem(field, inputs.r, inputs.s, tuple(inputs.d),
-                      tuple(polys))
+    """One uniform draw from the coefficient space F_{d_s}.
+
+    Each slot takes one ``stream.randint(q)``, in layout order.
+    """
+    return _system_from_digits(
+        inputs, field, iter(lambda: stream.randint(field.q), None))
 
 
 def census_size(inputs: BoundInputs) -> int:
@@ -215,51 +226,30 @@ def system_from_census_index(inputs: BoundInputs, field: Field,
     read along the layout (generator by generator, monomials
     descending), most significant digit first.
     """
-    layout = coefficient_layout(inputs)
-    width = sum(len(mons) for mons in layout)
     digits = []
-    for _ in range(width):
+    for _ in range(sum(map(len, coefficient_layout(inputs)))):
         index, dig = divmod(index, field.q)
         digits.append(dig)
-    digits.reverse()
-    polys = []
-    pos = 0
-    for mons in layout:
-        terms = {}
-        for m in mons:
-            dig = digits[pos]
-            pos += 1
-            if dig:
-                terms[m] = field.element_from_index(dig)
-        polys.append(Poly(field, inputs.r, terms, _clean=True))
-    return PolySystem(field, inputs.r, inputs.s, tuple(inputs.d),
-                      tuple(polys))
+    return _system_from_digits(inputs, field, reversed(digits))
 
 
-# -- workers (top level so they pickle) -----------------------------------
+# -- the worker (top level so it pickles) -----------------------------------
 
-def _mc_chunk(args):
-    config, start, stop = args
-    field = config.build_field()
-    acc = OutcomeCounts.zero(config.inputs.s)
-    for idx in range(start, stop):
-        stream = HashStream("sample", config.seed, idx)
-        system = sample_system(config.inputs, field, stream)
-        acc = acc + OutcomeCounts.from_report(
-            classify(system, config.witness_budget))
-    return acc
-
-
-def _census_chunk(args):
+def _chunk(args):
+    """Classify the systems of indices [start, stop); (counts, rows)."""
     config, start, stop, want_rows = args
-    field = config.build_field()
-    acc = OutcomeCounts.zero(config.inputs.s)
+    inputs, field = config.inputs, config.build_field()
+    acc = OutcomeCounts.zero(inputs.s)
     rows = [] if want_rows else None
     # equal reports are kept once, so the pickled rows share them too
     shared = {}
     for idx in range(start, stop):
-        system = system_from_census_index(config.inputs, field, idx)
-        rep = classify(system, config.witness_budget)
+        if config.mode == "census":
+            system = system_from_census_index(inputs, field, idx)
+        else:
+            system = sample_system(inputs, field,
+                                   HashStream("sample", config.seed, idx))
+        rep = classify(system)
         acc = acc + OutcomeCounts.from_report(rep)
         if want_rows:
             rows.append((idx, shared.setdefault(rep, rep)))
@@ -419,18 +409,25 @@ def _assemble(config: ExperimentConfig, counts: OutcomeCounts,
     )
 
 
+def _run(config: ExperimentConfig, total: int, want_rows: bool):
+    """Classify indices [0, total) in chunks; (report, rows or None)."""
+    t0 = time.time()
+    jobs = [(config, a, b, want_rows)
+            for a, b in _ranges(total, config.threads * 4)]
+    counts = OutcomeCounts.zero(config.inputs.s)
+    rows = [] if want_rows else None
+    for part_counts, part_rows in _map_chunks(_chunk, jobs, config.threads):
+        counts = counts + part_counts
+        if want_rows:
+            rows.extend(part_rows)
+    return _assemble(config, counts, t0), rows
+
+
 def run_monte_carlo(config: ExperimentConfig) -> EstimateReport:
     """Classify n_samples independent uniform draws and compare bounds."""
     if config.mode != "monte_carlo":
         raise ValueError("config mode is not monte_carlo")
-    t0 = time.time()
-    jobs = [(config, a, b)
-            for a, b in _ranges(config.n_samples, config.threads * 4)]
-    parts = _map_chunks(_mc_chunk, jobs, config.threads)
-    counts = OutcomeCounts.zero(config.inputs.s)
-    for part in parts:
-        counts = counts + part
-    return _assemble(config, counts, t0)
+    return _run(config, config.n_samples, False)[0]
 
 
 def run_census(config: ExperimentConfig, dump_rows: bool = False):
@@ -438,26 +435,15 @@ def run_census(config: ExperimentConfig, dump_rows: bool = False):
 
     Returns (report, rows); rows is None unless ``dump_rows``, in which
     case it lists (census index, ClassificationReport) for every
-    system.  Refuses when the census exceeds the budget.
+    system.  Refuses when the census exceeds ``enumeration_budget()``.
     """
     if config.mode != "census":
         raise ValueError("config mode is not census")
-    t0 = time.time()
     total = census_size(config.inputs)
-    budget = (config.census_budget if config.census_budget is not None
-              else enumeration_budget())
+    budget = enumeration_budget()
     if total > budget:
         raise BudgetExceeded(total, budget, "census")
-    jobs = [(config, a, b, dump_rows)
-            for a, b in _ranges(total, config.threads * 4)]
-    parts = _map_chunks(_census_chunk, jobs, config.threads)
-    counts = OutcomeCounts.zero(config.inputs.s)
-    rows = [] if dump_rows else None
-    for part_counts, part_rows in parts:
-        counts = counts + part_counts
-        if dump_rows:
-            rows.extend(part_rows)
-    return _assemble(config, counts, t0), rows
+    return _run(config, total, dump_rows)
 
 
 # -- rank-based oracle for the all-linear case -----------------------------

@@ -15,8 +15,6 @@ search so the same (p, k, seed) always yields the same field.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from .rng import HashStream
 
 
@@ -64,10 +62,6 @@ class Field:
 
     def index_of(self, a) -> int:
         raise NotImplementedError
-
-    def elements(self) -> Iterator:
-        for i in range(self.q):
-            yield self.element_from_index(i)
 
     def encode(self, a):
         """JSON form of an element."""

@@ -134,10 +134,6 @@ class GroebnerBasis:
     def is_unit(self) -> bool:
         return len(self.gens) == 1 and self.gens[0].degree() == 0
 
-    @property
-    def is_zero_ideal(self) -> bool:
-        return not self.gens
-
     def __eq__(self, other):
         return (isinstance(other, GroebnerBasis)
                 and self.order == other.order

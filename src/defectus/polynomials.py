@@ -192,14 +192,6 @@ class Poly:
                     {m: f.mul(c, v) for m, v in self.terms.items()},
                     _clean=True)
 
-    def mul_term(self, c, mono):
-        f = self.field
-        if c == f.zero:
-            return Poly.zero(f, self.nvars)
-        return Poly(f, self.nvars,
-                    {mono_mul(m, mono): f.mul(c, v)
-                     for m, v in self.terms.items()}, _clean=True)
-
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.nvars == other.nvars
                 and self.field == other.field and self.terms == other.terms)

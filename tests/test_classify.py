@@ -249,8 +249,8 @@ def test_witness_budget_skips(f101):
         f101, 3, 2, (2, 1),
         (Poly.from_int_terms(f101, 3, {(1, 1, 0): 1}),
          Poly.variable(f101, 3, 2)))
-    # 101^4 degree-1 candidates blow any reasonable budget: no witness
-    assert find_reducibility_witness(system, budget=1000) is None
+    # 101^4 degree-1 candidates exceed DEFAULT_WITNESS_BUDGET: no witness
+    assert find_reducibility_witness(system) is None
 
 
 def test_witness_certificate_semantics(f3):

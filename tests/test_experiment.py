@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -5,8 +6,9 @@ import pytest
 
 from defectus import (
     BoundInputs, BudgetExceeded, ExperimentConfig, OutcomeCounts, classify,
-    cp_interval, cp_upper_one_sided, derive, linear_census_oracle,
-    run_census, run_monte_carlo, sample_system, system_from_census_index,
+    cp_interval, cp_upper_one_sided, derive, field_make,
+    linear_census_oracle, run_census, run_monte_carlo, sample_system,
+    system_from_census_index,
 )
 from defectus.experiment import (
     _binom_cdf, _verdicts, census_size, coefficient_layout, gaussian_binomial,
@@ -78,6 +80,36 @@ def test_census_order_is_lexicographic(f2):
     assert one.polys[1].degree() == 0
 
 
+def _systems_digest(systems):
+    h = hashlib.sha256()
+    for system in systems:
+        h.update(system.digest())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("q, pk, expected", [
+    (101, (101, 1),
+     "4fd1dda23eb4c6099c7b66f9e373d7ee9a40e9e07b5571b92e7d48bdd7887223"),
+    (4, (2, 2),
+     "06b436f6aa9c17a122c3af763e6c1cd795b1b1ee240d046cb6a86b01c8fd2f09"),
+])
+def test_sample_draw_order_is_pinned(q, pk, expected):
+    # one stream.randint(q) per slot, generator by generator, monomials
+    # descending: any change of order changes every seeded report
+    inputs, field = BoundInputs(3, 2, q, (2, 2)), field_make(*pk)
+    assert _systems_digest(
+        sample_system(inputs, field, HashStream("sample", 42, i))
+        for i in range(100)) == expected
+
+
+def test_census_digit_order_is_pinned(f2):
+    inputs = BoundInputs(3, 2, 2, (2, 1))
+    assert _systems_digest(
+        system_from_census_index(inputs, f2, i)
+        for i in range(0, 16384, 37)) == (
+        "f01b789fc6c1f8aa6604d2a371f4fd4279c063d0030e03e544f0a93a1c6cb2bf")
+
+
 def test_aggregation_is_a_monoid(f3):
     inputs = BoundInputs(3, 2, 3, (1, 1))
     reports = [classify(sample_system(inputs, f3, HashStream("agg", i)))
@@ -134,9 +166,10 @@ def test_census_matches_oracle_q2():
     assert len({id(rep) for _, rep in rows}) <= 8 * len(distinct) < 256
 
 
-def test_census_budget_refusal():
+def test_census_budget_refusal(monkeypatch):
+    monkeypatch.setenv("DEFECTUS_BUDGET", "1000")
     config = ExperimentConfig(inputs=BoundInputs(3, 2, 101, (2, 2)),
-                              mode="census", census_budget=1000)
+                              mode="census")
     with pytest.raises(BudgetExceeded):
         run_census(config)
 
