@@ -191,8 +191,8 @@ def coefficient_layout(inputs: BoundInputs):
 
 def _system_from_digits(inputs: BoundInputs, field: Field,
                         digits) -> PolySystem:
-    """Fill the layout slot by slot with the element indices ``digits``."""
-    digits = iter(digits)
+    """Fill the layout slot by slot from the iterator ``digits`` of
+    element indices."""
     polys = []
     for mons in coefficient_layout(inputs):
         # zip pulls a digit only while the generator has a slot left
