@@ -12,9 +12,8 @@ from .bounds import (
 from .classify import (
     CERTIFIED_IRREDUCIBLE, CERTIFIED_REDUCIBLE, UNDETERMINED,
     ClassificationReport, classify, fiber_dimension,
-    find_reducibility_witness, in_B0, initial_form_criterion,
-    is_radical_ci, is_regular_sequence, kollar_dimension_test,
-    minor_combo_fiber_test,
+    find_reducibility_witness, initial_form_criterion, is_regular_sequence,
+    kollar_dimension_test, minor_combo_fiber_test,
 )
 from .experiment import (
     EstimateReport, ExperimentConfig, OutcomeCounts, cp_interval,
@@ -27,7 +26,7 @@ from .fields import (
 )
 from .groebner import (
     GREVLEX, GroebnerBasis, MonomialOrder, colon_ideal, groebner,
-    ideal_dimension, is_empty, normal_form, projective_dimension,
+    ideal_dimension, normal_form, projective_dimension,
 )
 from .polynomials import (
     NEG_INF, Poly, PolySystem, embed_poly, jacobian, jacobian_minors,

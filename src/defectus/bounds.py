@@ -98,12 +98,6 @@ class BoundReport:
     nonvacuous_threshold_B2: Optional[int]
 
     def to_json_dict(self):
-        def frac(f):
-            if f is None:
-                return None
-            return {"num": f.numerator, "den": f.denominator,
-                    "decimal": decimal_string(f)}
-
         return {
             "inputs": self.inputs.to_json_dict(),
             "delta": self.delta,
@@ -114,9 +108,9 @@ class BoundReport:
             "C1": list(self.c1) if self.c1 is not None else None,
             "C2": list(self.c2) if self.c2 is not None else None,
             "count_B1": self.count_B1,
-            "prob_B1": frac(self.prob_B1),
+            "prob_B1": fraction_json(self.prob_B1),
             "count_B2": self.count_B2,
-            "prob_B2": frac(self.prob_B2),
+            "prob_B2": fraction_json(self.prob_B2),
             "vacuous_B1": self.vacuous_B1,
             "vacuous_B2": self.vacuous_B2,
             "nonvacuous_threshold_B1": self.nonvacuous_threshold_B1,
@@ -198,6 +192,14 @@ def enumerate_points(system: PolySystem, ext_degree: int = 1,
         if all(f.evaluate(point) == big.zero for f in polys):
             points.append(point)
     return points
+
+
+def fraction_json(fr: Optional[Fraction]):
+    """Exact JSON form of a fraction: numerator, denominator, decimal."""
+    if fr is None:
+        return None
+    return {"num": fr.numerator, "den": fr.denominator,
+            "decimal": decimal_string(fr)}
 
 
 def decimal_string(fr: Fraction, sig: int = 6) -> str:

@@ -3,7 +3,8 @@
 The exact flags:
 
 * ``in_B0``: all declared degrees attained and the affine zero set is
-  empty over the closure.
+  empty over the closure, i.e. the full ideal is the unit ideal.
+* ``set_theoretic_ci``: the affine zero set has dimension exactly r-s.
 * ``regular_sequence``: each F_i is neither zero nor a zero divisor
   modulo its predecessors and the full ideal is proper.  Order-sensitive
   by definition.  Decided by prefix dimension: K[X] is Cohen-Macaulay,
@@ -20,6 +21,16 @@ The exact flags:
   together with all maximal minors of its Jacobian in X_0..X_r.  The
   thresholds fiber_dim >= r-s and >= r-s-1 are membership in the
   projections of the incidence-variety strata that drive the bounds.
+
+The affine flags (``in_B0``, ``set_theoretic_ci``, ``regular_sequence``)
+are read off one list: the dimension of each prefix ideal I_i, computed
+with floor r-i-1 (``groebner._dimension_floor``), exact above the floor
+and some value <= the floor otherwise.  Krull's principal ideal theorem
+makes the floor exact: a proper ideal with i generators has dimension
+>= r-i, so a result at or below r-i-1 means I_i is the unit ideal, and
+every other result is the exact dimension.  The full ideal I_s is one
+floored Buchberger run, never reduced; a reduced basis is built only in
+the witness search, once an exact divisor needs its membership test.
 
 Irreducibility is a certified trichotomy, not a decision procedure:
 a small singular locus (fiber_dim <= r-s-2 on a full-degree system
@@ -42,8 +53,8 @@ from typing import Optional
 
 from .fields import MIN_RANDOMIZED_FIELD, ensure_min_size
 from .groebner import (
-    GREVLEX, GroebnerBasis, groebner, ideal_dimension, normal_form,
-    projective_dimension, _dimension_floor, _exact_divide, _packing,
+    GREVLEX, groebner, normal_form, projective_dimension,
+    _cone_to_projective, _dimension_floor, _exact_divide, _packing,
 )
 # not called here: bench/tracing.py wraps it; --trace 1 stops without it
 from .groebner import colon_ideal  # noqa: F401
@@ -83,35 +94,33 @@ class ClassificationReport:
         return blob
 
 
-def in_B0(system: PolySystem) -> bool:
-    """Full degrees and empty affine zero set over the closure.
+def _prefix_dimensions(system: PolySystem) -> list:
+    """Floored dimension of each prefix ideal (F_1..F_i), i = 1..s.
 
-    Degree-dropped empty systems are charged to the L_i strata, not B_0.
+    Prefix i runs with floor r-i-1, so by Krull each entry is the exact
+    dimension of a proper prefix and <= r-i-1 for the unit ideal.
     """
-    if not all(system.degree_full()):
-        return False
-    return groebner(list(system.polys)).is_unit
+    field, r = system.field, system.r
+    return [_dimension_floor(system.polys[:i], r - i - 1, field, r)
+            for i in range(1, system.s + 1)]
 
 
-def is_regular_sequence(system: PolySystem,
-                        gb_affine: GroebnerBasis = None):
+def _first_failure(dims: list, r: int):
+    """(ok, first failing index): stage i fails when dims[i-1] != r-i."""
+    for i, dim in enumerate(dims, start=1):
+        if dim != r - i:
+            return False, i
+    return True, None
+
+
+def is_regular_sequence(system: PolySystem):
     """Exact test by prefix dimension; returns (ok, first failing index).
 
     Stage i fails when dim (F_1..F_i) != r-i: F_i is zero or a zero
     divisor modulo its predecessors (the dimension stays r-i+1), or the
-    prefix is the unit ideal (-1; r-i >= 1 because s < r).  Each prefix
-    runs with floor r-i-1, at which only the unit ideal lands; the full
-    ideal reads ``gb_affine`` when the caller already holds it.
+    prefix is the unit ideal (-1; r-i >= 1 because s < r).
     """
-    field, r = system.field, system.r
-    for i in range(1, system.s + 1):
-        if i == system.s and gb_affine is not None:
-            dim = ideal_dimension(gb_affine)
-        else:
-            dim = _dimension_floor(system.polys[:i], r - i - 1, field, r)
-        if dim != r - i:
-            return False, i
-    return True, None
+    return _first_failure(_prefix_dimensions(system), system.r)
 
 
 def initial_form_criterion(system: PolySystem) -> bool:
@@ -141,20 +150,6 @@ def _rank_defect_dimension(system: PolySystem) -> int:
                             system.r)
 
 
-def is_radical_ci(system: PolySystem) -> bool:
-    """Radicality of the ideal of a regular sequence (exact).
-
-    For an unmixed complete intersection over the perfect field F_q,
-    radical is equivalent to generically smooth, i.e. to the affine
-    rank-defect locus having dimension at most r-s-1.  Raises if the
-    system is not a regular sequence.
-    """
-    ok, idx = is_regular_sequence(system)
-    if not ok:
-        raise ValueError(f"not a regular sequence (fails at index {idx})")
-    return _rank_defect_dimension(system) <= system.r - system.s - 1
-
-
 def fiber_dimension(system: PolySystem) -> int:
     """Projective dimension of V(F^h, all homogenized Jacobian minors).
 
@@ -167,12 +162,11 @@ def fiber_dimension(system: PolySystem) -> int:
     """
     homog = system.homogenized()
     gens = homog + jacobian_minors(homog)
-    cone = _dimension_floor(gens, 0, system.field, system.r + 1)
-    return cone - 1 if cone >= 1 else -1
+    return _cone_to_projective(
+        _dimension_floor(gens, 0, system.field, system.r + 1))
 
 
-def find_reducibility_witness(system: PolySystem,
-                              gb_affine: GroebnerBasis = None):
+def find_reducibility_witness(system: PolySystem):
     """Search for F_i = G*H with G, H both outside the ideal.
 
     Sound and deliberately incomplete: divisors are found by exhaustive
@@ -180,12 +174,12 @@ def find_reducibility_witness(system: PolySystem,
     candidate count exceeds ``DEFAULT_WITNESS_BUDGET``.  The two
     normal-form checks subsume coprimality; with a radical ideal they
     certify that V = V(I+G) union V(I+H) splits the zero set into
-    proper parts.
+    proper parts.  The reduced basis of the ideal is computed only when
+    the first exact divisor reaches those checks.
     Returns (i, G, H) or None.
     """
     field, r, q = system.field, system.r, system.field.q
-    if gb_affine is None:
-        gb_affine = groebner(list(system.polys))
+    gb = None
     pk = _packing(r, GREVLEX)
     for i, f in enumerate(system.polys, start=1):
         if f.is_zero() or f.degree() < 2:
@@ -219,9 +213,11 @@ def find_reducibility_witness(system: PolySystem,
                     continue
                 cand = Poly(field, r, pk.unpack_terms(terms), _clean=True)
                 other = Poly(field, r, pk.unpack_terms(quot), _clean=True)
-                if normal_form(cand, gb_affine).is_zero():
+                if gb is None:
+                    gb = groebner(list(system.polys))
+                if normal_form(cand, gb).is_zero():
                     continue
-                if normal_form(other, gb_affine).is_zero():
+                if normal_form(other, gb).is_zero():
                     continue
                 return i, cand, other
     return None
@@ -237,19 +233,18 @@ def classify(system: PolySystem) -> ClassificationReport:
     degree_full = system.degree_full()
     all_full = all(degree_full)
 
-    gb_aff = groebner(list(system.polys), field=system.field, nvars=r)
-    affine_empty = gb_aff.is_unit
-    b0 = all_full and affine_empty
-
-    rs, fail_idx = is_regular_sequence(system, gb_aff)
-    stci = (not affine_empty) and ideal_dimension(gb_aff) == r - s
+    dims = _prefix_dimensions(system)
+    rs, fail_idx = _first_failure(dims, r)
+    stci = dims[-1] == r - s
+    # not dims[-1] == -1: a unit ideal may stop on pure powers first
+    b0 = all_full and dims[-1] <= r - s - 1
     itci = rs and _rank_defect_dimension(system) <= r - s - 1
 
     fdim = fiber_dimension(system)
 
     if all_full and not b0 and fdim <= r - s - 2:
         irreducibility = CERTIFIED_IRREDUCIBLE
-    elif itci and find_reducibility_witness(system, gb_aff) is not None:
+    elif itci and find_reducibility_witness(system) is not None:
         irreducibility = CERTIFIED_REDUCIBLE
     else:
         irreducibility = UNDETERMINED
@@ -334,5 +329,4 @@ def minor_combo_fiber_test(system: PolySystem, count: int,
             lam = big.element_from_index(stream.randint(big.q))
             acc = acc + mpoly.scale(lam)
         lifted.append(acc)
-    cone = _dimension_floor(lifted, 0, big, system.r + 1)
-    return cone - 1 if cone >= 1 else -1
+    return _cone_to_projective(_dimension_floor(lifted, 0, big, system.r + 1))

@@ -24,8 +24,8 @@ from fractions import Fraction
 from functools import cache
 
 from .bounds import (
-    BoundInputs, BoundReport, BudgetExceeded, decimal_string, derive,
-    enumeration_budget,
+    BoundInputs, BoundReport, BudgetExceeded, derive, enumeration_budget,
+    fraction_json,
 )
 from .classify import (
     CERTIFIED_IRREDUCIBLE, CERTIFIED_REDUCIBLE, ClassificationReport,
@@ -146,10 +146,6 @@ class EstimateReport:
     threads: int
 
     def to_json_dict(self, include_meta: bool = True):
-        def frac(f):
-            return {"num": f.numerator, "den": f.denominator,
-                    "decimal": decimal_string(f) if f else "0"}
-
         out = {
             "schema_version": SCHEMA_VERSION,
             "mode": self.mode,
@@ -157,12 +153,12 @@ class EstimateReport:
             "seed": self.seed,
             "confidence": self.confidence,
             "counts": self.counts.to_json_dict(),
-            "p1_hat": frac(self.p1_hat),
+            "p1_hat": fraction_json(self.p1_hat),
             "p1_cp_low": self.p1_cp_low,
             "p1_cp_high": self.p1_cp_high,
             "p1_cp_upper_one_sided": self.p1_cp_upper_one_sided,
-            "p2_lower_hat": frac(self.p2_lower_hat),
-            "p2_upper_hat": frac(self.p2_upper_hat),
+            "p2_lower_hat": fraction_json(self.p2_lower_hat),
+            "p2_upper_hat": fraction_json(self.p2_upper_hat),
             "bounds": self.bound_report.to_json_dict(),
             "verdict_B1": self.verdict_B1,
             "verdict_B2": self.verdict_B2,

@@ -544,27 +544,17 @@ def _dimension_floor(gens: Sequence[Poly], floor: int, field: Field,
     return _independent_dim([pk.support(rec[1]) for rec in basis], nvars)
 
 
-def _require_homogeneous(gb: GroebnerBasis):
-    if any(not g.is_homogeneous() for g in gb.gens):
-        raise ValueError("projective question on non-homogeneous basis")
+def _cone_to_projective(cone: int) -> int:
+    """Projective dimension of a zero set from that of its affine cone.
 
-
-def is_empty(gb: GroebnerBasis, mode: str) -> bool:
-    """Emptiness over the closure; 'affine' or 'projective' mode."""
-    if mode == "affine":
-        return gb.is_unit
-    if mode == "projective":
-        _require_homogeneous(gb)
-        return ideal_dimension(gb) <= 0
-    raise ValueError(f"unknown mode {mode!r}")
+    Cone minus one; cones of dimension <= 0 (the unit and the
+    irrelevant ideal) give -1, the empty set.
+    """
+    return cone - 1 if cone >= 1 else -1
 
 
 def projective_dimension(gb: GroebnerBasis) -> int:
-    """Dimension of the projective zero set; -1 when empty.
-
-    Convention: cone dimension minus one, with cones of dimension <= 0
-    (the irrelevant cases) mapping to -1.
-    """
-    _require_homogeneous(gb)
-    cone = ideal_dimension(gb)
-    return cone - 1 if cone >= 1 else -1
+    """Dimension of the projective zero set; -1 when empty."""
+    if any(not g.is_homogeneous() for g in gb.gens):
+        raise ValueError("projective question on non-homogeneous basis")
+    return _cone_to_projective(ideal_dimension(gb))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import MIN_RANDOMIZED_FIELD, Field, ensure_min_size
-from .groebner import groebner, is_empty
+from .groebner import groebner, projective_dimension
 from .polynomials import Poly, canonical_digest, embed_poly, monomials_exact
 from .rng import HashStream
 
@@ -75,60 +75,55 @@ def macaulay_build(polys, degrees) -> MacaulayMatrix:
                           den_rows)
 
 
-def determinant(rows, field: Field):
-    """Exact determinant by Gaussian elimination over the field."""
-    n = len(rows)
-    if n == 0:
-        return field.one
+def _forward_eliminate(rows, field: Field):
+    """Row echelon form by Gaussian elimination over the field.
+
+    Returns the pivot values in order, whose count is the rank, and
+    whether an odd number of row swaps was made.
+    """
     mat = [list(r) for r in rows]
-    det = field.one
-    for col in range(n):
+    zero = field.zero
+    nrows = len(mat)
+    pivots = []
+    odd = False
+    for col in range(len(mat[0]) if mat else 0):
+        rank = len(pivots)
+        if rank == nrows:
+            break
         pivot = next(
-            (r for r in range(col, n) if mat[r][col] != field.zero), None)
+            (r for r in range(rank, nrows) if mat[r][col] != zero), None)
         if pivot is None:
-            return field.zero
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = field.neg(det)
-        pval = mat[col][col]
-        det = field.mul(det, pval)
-        pinv = field.inv(pval)
-        for r in range(col + 1, n):
+            continue
+        if pivot != rank:
+            mat[rank], mat[pivot] = mat[pivot], mat[rank]
+            odd = not odd
+        row_p = mat[rank]
+        pinv = field.inv(row_p[col])
+        for r in range(rank + 1, nrows):
             factor = mat[r][col]
-            if factor == field.zero:
+            if factor == zero:
                 continue
             factor = field.mul(factor, pinv)
-            row_r, row_c = mat[r], mat[col]
-            for c in range(col, n):
-                row_r[c] = field.sub(row_r[c], field.mul(factor, row_c[c]))
+            row_r = mat[r]
+            for c in range(col, len(row_p)):
+                row_r[c] = field.sub(row_r[c], field.mul(factor, row_p[c]))
+        pivots.append(row_p[col])
+    return pivots, odd
+
+
+def determinant(rows, field: Field):
+    """Exact determinant: the signed product of the elimination pivots."""
+    pivots, odd = _forward_eliminate(rows, field)
+    if len(pivots) < len(rows):
+        return field.zero
+    det = field.neg(field.one) if odd else field.one
+    for pval in pivots:
+        det = field.mul(det, pval)
     return det
 
 
 def matrix_rank(rows, field: Field) -> int:
-    if not rows:
-        return 0
-    mat = [list(r) for r in rows]
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next(
-            (r for r in range(rank, len(mat)) if mat[r][col] != field.zero),
-            None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pinv = field.inv(mat[rank][col])
-        for r in range(rank + 1, len(mat)):
-            factor = mat[r][col]
-            if factor == field.zero:
-                continue
-            factor = field.mul(factor, pinv)
-            for c in range(col, ncols):
-                mat[r][c] = field.sub(mat[r][c], field.mul(factor, mat[rank][c]))
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+    return len(_forward_eliminate(rows, field)[0])
 
 
 def resultant_value(polys, degrees):
@@ -204,4 +199,4 @@ def resultant_vanishes(polys, degrees, seed: int = 0) -> bool:
         mm2 = macaulay_build(transformed, degrees)
         if determinant(mm2.denominator, big) != big.zero:
             return determinant(mm2.numerator, big) == big.zero
-    return not is_empty(groebner(list(polys)), "projective")
+    return projective_dimension(groebner(list(polys))) >= 0

@@ -14,7 +14,7 @@ from defectus import (
     CERTIFIED_REDUCIBLE, BoundInputs, ExperimentConfig, Poly, classify,
     cp_upper_one_sided, enumerate_points, fiber_dimension, field_make,
     find_reducibility_witness, groebner, ideal_dimension,
-    initial_form_criterion, is_empty, is_regular_sequence,
+    initial_form_criterion, is_regular_sequence,
     kollar_dimension_test, linear_census_oracle, minor_combo_fiber_test,
     projective_dimension, resultant_value, resultant_vanishes, run_census,
     run_monte_carlo, sample_system, system_from_census_index,
@@ -150,7 +150,7 @@ def _crit5_worker(rng):
         polys = [_random_homogeneous(field, 3, d, stream) for d in degrees]
         vanishes = resultant_vanishes(polys, degrees, seed=idx)
         gb = groebner(polys, field=field, nvars=3)
-        if vanishes == is_empty(gb, "projective"):
+        if vanishes != (projective_dimension(gb) >= 0):
             disagreements.append(idx)
     return disagreements
 

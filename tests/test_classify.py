@@ -1,3 +1,5 @@
+import hashlib
+import json
 import pickle
 from collections import Counter
 
@@ -6,8 +8,8 @@ import pytest
 from defectus import (
     CERTIFIED_IRREDUCIBLE, CERTIFIED_REDUCIBLE, BoundInputs, Poly,
     PolySystem, classify, colon_ideal, fiber_dimension, field_make,
-    find_reducibility_witness, groebner, ideal_dimension, in_B0,
-    initial_form_criterion, is_radical_ci, is_regular_sequence,
+    find_reducibility_witness, groebner, ideal_dimension,
+    initial_form_criterion, is_regular_sequence,
     kollar_dimension_test, matrix_rank, minor_combo_fiber_test,
     normal_form, prime_power_decompose, projective_dimension, sample_system,
     system_from_census_index,
@@ -26,13 +28,29 @@ def _system(field, caps, int_term_maps, r=3):
 def test_in_B0_examples(f7):
     empty_full = _system(f7, (2, 2),
                          [{(2, 0, 0): 1}, {(2, 0, 0): 1, (0, 0, 0): 1}])
-    assert in_B0(empty_full)
+    rep = classify(empty_full)
+    assert rep.in_B0 and not rep.set_theoretic_ci
     # empty but degree-dropped: belongs to L_i, not B_0
     empty_dropped = _system(f7, (2, 2),
                             [{(1, 0, 0): 1}, {(1, 0, 0): 1, (0, 0, 0): 1}])
-    assert not in_B0(empty_dropped)
+    rep = classify(empty_dropped)
+    assert rep.in_L and not rep.in_B0 and not rep.set_theoretic_ci
     nonempty = _system(f7, (1, 1), [{(1, 0, 0): 1}, {(0, 1, 0): 1}])
-    assert not in_B0(nonempty)
+    rep = classify(nonempty)
+    assert not rep.in_B0 and rep.set_theoretic_ci
+
+
+def test_set_theoretic_ci_without_regular_sequence(f7):
+    # (x1*x2, x1*x3, x1 - 1) in A^4 cuts the line x1=1, x2=x3=0, of
+    # dimension r-s = 1, but x1*x3 is a zero divisor modulo x1*x2
+    system = _system(f7, (2, 2, 1),
+                     [{(1, 1, 0, 0): 1}, {(1, 0, 1, 0): 1},
+                      {(1, 0, 0, 0): 1, (0, 0, 0, 0): -1}], r=4)
+    rep = classify(system)
+    assert rep.set_theoretic_ci and not rep.in_B0
+    assert not rep.regular_sequence
+    assert rep.regular_sequence_failure_index == 2
+    assert is_regular_sequence(system) == (False, 2)
 
 
 def test_regular_sequence_examples(f7):
@@ -77,9 +95,7 @@ def _regular_sequence_disagreements(systems):
         want = _colon_regular_sequence(system)
         seen[want] += 1
         rep = classify(system)
-        gb = groebner(list(system.polys), field=system.field, nvars=system.r)
         got = (is_regular_sequence(system),
-               is_regular_sequence(system, gb),
                (rep.regular_sequence, rep.regular_sequence_failure_index))
         if any(answer != want for answer in got):
             bad.append((system.digest(), want, got))
@@ -148,20 +164,31 @@ def test_initial_form_criterion_implies_regular(f2):
 
 
 def test_radical_examples(f7, f2):
+    # every example is a regular sequence, so ideal_theoretic_ci is
+    # exactly the radicality of its ideal
+    def radical(system):
+        rep = classify(system)
+        assert rep.regular_sequence
+        return rep.ideal_theoretic_ci
+
     smooth = _system(f7, (1, 1), [{(1, 0, 0): 1}, {(0, 1, 0): 1}])
-    assert is_radical_ci(smooth)
+    assert radical(smooth)
     fat = _system(f7, (2, 1), [{(2, 0, 0): 1}, {(0, 0, 1): 1}])
-    assert not is_radical_ci(fat)
+    assert not radical(fat)
     fat2 = _system(f2, (2, 1), [{(2, 0, 0): 1}, {(0, 0, 1): 1}])
-    assert not is_radical_ci(fat2)  # minors vanish formally in char 2
+    assert not radical(fat2)  # minors vanish formally in char 2
     squarefree = _system(f7, (2, 1), [{(1, 1, 0): 1}, {(0, 0, 1): 1}])
-    assert is_radical_ci(squarefree)
+    assert radical(squarefree)
 
 
 def test_radical_requires_regular_sequence(f7):
+    # a smooth ideal (x1) that its repeated generator fails to cut as a
+    # regular sequence is not an ideal-theoretic complete intersection
     repeated = _system(f7, (1, 1), [{(1, 0, 0): 1}, {(1, 0, 0): 1}])
-    with pytest.raises(ValueError):
-        is_radical_ci(repeated)
+    rep = classify(repeated)
+    assert (rep.regular_sequence, rep.regular_sequence_failure_index) == \
+        (False, 2)
+    assert not rep.ideal_theoretic_ci and rep.in_B1
 
 
 def test_fiber_dimension_examples(f7):
@@ -384,8 +411,42 @@ def test_witness_matches_reference_enumeration(p, k):
     hits = 0
     for idx in range(40):
         system = sample_system(inputs, field, HashStream("witness-ref", idx))
-        gb = groebner(list(system.polys))
-        hit = find_reducibility_witness(system, gb)
-        assert hit == _reference_witness(system, gb)
+        hit = find_reducibility_witness(system)
+        assert hit == _reference_witness(system, groebner(list(system.polys)))
         hits += hit is not None
     assert hits
+
+
+def _reports_digest(systems):
+    h = hashlib.sha256()
+    for system in systems:
+        blob = json.dumps(classify(system).to_json_dict(), sort_keys=True)
+        h.update(blob.encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("q,r,d,expected", [
+    (101, 3, (2, 2),
+     "ed117acdc5ac109961e55aa6dfcec3ac886bccda2dafe5092e2a1f8ff1c9a6d1"),
+    (4, 3, (2, 2),
+     "3eab3328c3d302181a31bb72dd279ea7b4cfe39d491497d549722138b9625982"),
+    (3, 4, (2, 1, 1),
+     "f6ee6c7203b7fa80eb191e724bc969455a3d2cadff5c6e0896d20c1ce354b7ba"),
+])
+def test_reports_are_pinned_on_draws(q, r, d, expected):
+    # every report field of 100 seeded draws; any change to a decision
+    # path that alters one flag of one system changes the digest
+    field = field_make(*prime_power_decompose(q))
+    inputs = BoundInputs(r, len(d), q, d)
+    assert _reports_digest(
+        sample_system(inputs, field, HashStream("pin-reports", q, r, i))
+        for i in range(100)) == expected
+
+
+def test_reports_are_pinned_on_census(f2):
+    # an odd stride: a stride of 2**k would fix F_2's low coefficients
+    inputs = BoundInputs(3, 2, 2, (2, 1))
+    assert _reports_digest(
+        system_from_census_index(inputs, f2, i)
+        for i in range(0, 16384, 13)) == (
+        "13165b59c14fd684fa83e2be911c5deb978626cd62370d4497b2471c7a6de7eb")

@@ -1,10 +1,12 @@
 """The answer-driven stop: the engine hook and the floored dimension.
 
 The floored stages (``fiber_dimension`` with cone floor 0,
-``_rank_defect_dimension`` with floor r-s-1) are checked against the
-full route, a reduced basis read by ``projective_dimension`` and
-``ideal_dimension``.  The whole q=2, d=(2,1) census runs under the
-``slow`` marker: ``pytest -m slow``.
+``_rank_defect_dimension`` with floor r-s-1, and classify's prefix
+dimensions with floor r-s-1 behind ``in_B0`` and ``set_theoretic_ci``)
+are checked against the full route, a reduced basis read by
+``projective_dimension``, ``ideal_dimension`` and ``is_unit``.  The
+whole q=2, d=(2,1) census runs under the ``slow`` marker:
+``pytest -m slow``.
 """
 
 import importlib
@@ -65,6 +67,11 @@ def _check_stages(system):
         assert got == full_rd
     else:
         assert got <= floor
+    # Krull: the floored full ideal decides emptiness and dimension r-s
+    affine = groebner(list(system.polys), field=field, nvars=r)
+    rep = clmod.classify(system)
+    assert rep.in_B0 == (all(system.degree_full()) and affine.is_unit)
+    assert rep.set_theoretic_ci == (ideal_dimension(affine) == r - s)
     return full_rd <= floor
 
 

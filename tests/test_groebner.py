@@ -4,7 +4,7 @@ import pytest
 
 from defectus import (
     GroebnerBasis, Poly, colon_ideal, embed_poly, extension_of,
-    field_make, groebner, ideal_dimension, is_empty, monomials_upto,
+    field_make, groebner, ideal_dimension, monomials_upto,
     normal_form, projective_dimension,
 )
 from defectus.groebner import ELIM_LAST, GREVLEX
@@ -167,17 +167,18 @@ def test_dimension_field_extension_invariance(f3):
 
 
 def test_is_empty_affine(f7):
+    # the affine zero set is empty exactly for the unit ideal
     x1, _, _ = _vars(f7)
     one = Poly.constant(f7, 3, 1)
-    assert is_empty(groebner([x1 * x1, x1 * x1 + one]), "affine")
-    assert not is_empty(groebner([x1]), "affine")
+    assert groebner([x1 * x1, x1 * x1 + one]).is_unit
+    assert not groebner([x1]).is_unit
 
 
 def test_is_empty_projective(f7):
+    # the projective zero set is empty exactly at dimension -1
     xs = [Poly.variable(f7, 4, i) for i in range(4)]
-    assert is_empty(groebner(xs), "projective")  # irrelevant ideal
-    assert not is_empty(groebner(xs[:2]), "projective")  # a line in P^3
-    assert projective_dimension(groebner(xs[:2])) == 1
+    assert projective_dimension(groebner(xs)) < 0  # irrelevant ideal
+    assert projective_dimension(groebner(xs[:2])) == 1  # a line in P^3
 
 
 def test_projective_mode_rejects_inhomogeneous(f7):
@@ -186,12 +187,10 @@ def test_projective_mode_rejects_inhomogeneous(f7):
     one = Poly.constant(f7, 3, 1)
     gb = groebner([x1 * x2 + one])
     with pytest.raises(ValueError):
-        is_empty(gb, "projective")
-    with pytest.raises(ValueError):
         projective_dimension(gb)
     # inputs that merely generate a homogeneous ideal are fine: the
     # reduced basis of (X1+1, X1^2) is the (homogeneous) unit ideal
-    assert is_empty(groebner([x1 + one, x1 * x1]), "projective")
+    assert projective_dimension(groebner([x1 + one, x1 * x1])) < 0
 
 
 def test_projective_dimension_examples(f7):
@@ -211,12 +210,6 @@ def test_projective_dimension_is_cone_minus_one(f5):
         cone = ideal_dimension(gb)
         expected = cone - 1 if cone >= 1 else -1
         assert projective_dimension(gb) == expected
-
-
-def test_unknown_mode_rejected(f7):
-    gb = groebner([Poly.variable(f7, 3, 0)])
-    with pytest.raises(ValueError):
-        is_empty(gb, "spherical")
 
 
 def test_basis_gens_are_monic_and_sorted(f7):
