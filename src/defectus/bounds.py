@@ -177,7 +177,7 @@ def enumerate_points(system: PolySystem, ext_degree: int = 1,
         polys = list(system.polys)
     else:
         big = extension_of(field, ext_degree)
-        polys = [embed_poly(f, big, big.embed) for f in system.polys]
+        polys = [embed_poly(f, big) for f in system.polys]
     total = big.q ** system.r
     if total > budget:
         raise BudgetExceeded(total, budget, "point enumeration")
@@ -187,7 +187,7 @@ def enumerate_points(system: PolySystem, ext_degree: int = 1,
         coords = []
         for _ in range(system.r):
             rest, digit = divmod(rest, big.q)
-            coords.append(big.element_from_index(digit))
+            coords.append(digit)
         point = tuple(coords)
         if all(f.evaluate(point) == big.zero for f in polys):
             points.append(point)

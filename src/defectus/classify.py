@@ -191,7 +191,6 @@ def find_reducibility_witness(system: PolySystem):
             count = q ** len(mons)
             if count > DEFAULT_WITNESS_BUDGET:
                 continue
-            elems = [field.element_from_index(d) for d in range(q)]
             packed = [pk.pack(m) for m in mons]
             top = {pk.pack(m) for m in mons if sum(m) == gdeg}
             for idx in range(count):
@@ -200,7 +199,7 @@ def find_reducibility_witness(system: PolySystem):
                 for m in packed:
                     rest, digit = divmod(rest, q)
                     if digit:
-                        terms[m] = elems[digit]
+                        terms[m] = digit
                 # mons descend in grevlex: the first term is the leading one
                 lead = next(iter(terms), None)
                 if lead not in top:
@@ -288,14 +287,14 @@ def kollar_dimension_test(gens, d: int, seed: int = 0) -> bool:
         raise ValueError("slicing test needs homogeneous generators")
     field = gens[0].field
     n = gens[0].nvars
-    big, embed = ensure_min_size(field, MIN_RANDOMIZED_FIELD)
+    big = ensure_min_size(field, MIN_RANDOMIZED_FIELD)
     stream = HashStream("kollar", seed, canonical_digest(gens), d)
-    lifted = [embed_poly(g, big, embed) for g in gens]
+    lifted = [embed_poly(g, big) for g in gens]
     for _ in range(d):
         terms = {}
         for i in range(n):
-            c = big.element_from_index(stream.randint(big.q))
-            if c != big.zero:
+            c = stream.randint(big.q)
+            if c:
                 mono = tuple(1 if t == i else 0 for t in range(n))
                 terms[mono] = c
         lifted.append(Poly(big, n, terms, _clean=True))
@@ -319,14 +318,13 @@ def minor_combo_fiber_test(system: PolySystem, count: int,
     field = system.field
     homog = system.homogenized()
     minors = jacobian_minors(homog)
-    big, embed = ensure_min_size(field, MIN_RANDOMIZED_FIELD)
+    big = ensure_min_size(field, MIN_RANDOMIZED_FIELD)
     stream = HashStream("minor-combo", seed, canonical_digest(homog), count)
-    lifted = [embed_poly(g, big, embed) for g in homog]
-    lifted_minors = [embed_poly(m, big, embed) for m in minors]
+    lifted = [embed_poly(g, big) for g in homog]
+    lifted_minors = [embed_poly(m, big) for m in minors]
     for _ in range(count):
         acc = Poly.zero(big, system.r + 1)
         for mpoly in lifted_minors:
-            lam = big.element_from_index(stream.randint(big.q))
-            acc = acc + mpoly.scale(lam)
+            acc = acc + mpoly.scale(stream.randint(big.q))
         lifted.append(acc)
     return _cone_to_projective(_dimension_floor(lifted, 0, big, system.r + 1))

@@ -192,8 +192,7 @@ def _system_from_digits(inputs: BoundInputs, field: Field,
     polys = []
     for mons in coefficient_layout(inputs):
         # zip pulls a digit only while the generator has a slot left
-        terms = {m: field.element_from_index(dig)
-                 for m, dig in zip(mons, digits) if dig}
+        terms = {m: dig for m, dig in zip(mons, digits) if dig}
         polys.append(Poly(field, inputs.r, terms, _clean=True))
     return PolySystem(field, inputs.r, inputs.s, tuple(inputs.d),
                       tuple(polys))

@@ -1,19 +1,53 @@
 """Arithmetic for F_{p^k}.
 
-A field object is an arithmetic context; elements are plain data that
-only the owning field knows how to combine.  Prime fields use Python
-ints in ``[0, p)``.  Extension fields use length-k tuples of base-field
-elements in the basis ``1, t, ..., t^(k-1)`` modulo a fixed monic
-irreducible polynomial.  Extensions may be stacked (a tower over an
-extension) which is how the randomized tests obtain fields of size at
-least 2**20 over an arbitrary ground field.
+A field object is an arithmetic context; elements are plain ints that
+only the owning field knows how to combine.  Every element is its own
+index in [0, q): 0 is zero, 1 is one, and ``element_from_index`` and
+``index_of`` are the identity.
 
-Two fields with equal (p, k, modulus) compare equal and define
+Prime fields hold residues in [0, p).  An extension of degree k over a
+base field of order Q, taken modulo a fixed monic irreducible mu, holds
+the element sum_j d_j t^j (t the class of X, d_j base-field elements)
+as the int sum_j d_j Q^j: the base-Q digits, little-endian, are the
+coefficients.  Bases are prime fields or extensions themselves (a tower
+over an extension), which is how the randomized tests obtain fields of
+size at least 2**20 over an arbitrary ground field.
+
+The layout is sound because every step of it is a bijection that
+respects the F_p-vector space: digit j of an extension element is a
+base element, itself an int whose base-p digits are its own
+coordinates, so the base-p digits of any element are its coordinates
+over F_p in the basis built level by level.  Hence
+  * addition is digit-wise in base p, which is XOR in characteristic 2;
+  * a base element b is the constant b of the extension (same int), so
+    embedding a field into an extension built over it is the identity;
+  * the integer n maps to the constant n mod p in every field.
+
+Each extension picks its multiply once, by order, when it is built:
+  * q <= 2**16 (``TableField``): log/exp tables over a primitive
+    element, built on first use; odd characteristic adds through Zech
+    logarithms (Lidl & Niederreiter, *Finite Fields*);
+  * q > 2**16 over a prime base (``PackedField``): the digits go into
+    bit slots wide enough for every convolution sum, one bigint product
+    multiplies the polynomials (Kronecker substitution, von zur Gathen
+    & Gerhard, *Modern Computer Algebra*, ch. 8), and the high slots
+    fold back through the reductions of t^k .. t^(2k-2);
+  * q > 2**16 over an extension base (``TowerField``): schoolbook on
+    the base-field digits, folded the same way.
+The large fields invert by extended Euclid on the digits, through a
+memo that is emptied whenever it reaches ``INV_MEMO_MAX`` entries, so a
+cached field stays bounded.
+
+Two fields with equal (base, degree, modulus) compare equal and define
 identical arithmetic.  Moduli are found by a seeded deterministic
-search so the same (p, k, seed) always yields the same field.
+search so the same (p, k, seed) always yields the same field, and the
+search and the construction are cached per process.
 """
 
 from __future__ import annotations
+
+from functools import cache, partial
+from operator import pos, xor
 
 from .rng import HashStream
 
@@ -77,7 +111,8 @@ class Field:
         raise NotImplementedError
 
     def __eq__(self, other):
-        return isinstance(other, Field) and self.spec_key() == other.spec_key()
+        return self is other or (isinstance(other, Field)
+                                 and self.spec_key() == other.spec_key())
 
     def __hash__(self):
         return hash(self.spec_key())
@@ -149,11 +184,17 @@ class PrimeField(Field):
 
 
 class ExtensionField(Field):
-    """Degree-k extension of ``base`` modulo a monic irreducible."""
+    """Degree-k extension of ``base`` modulo a monic irreducible.
+
+    Shared by the three multiplies: construction, digits, the JSON
+    form, and addition.  ``add``, ``sub`` and ``neg`` are chosen per
+    instance: XOR in characteristic 2, the class's odd-p methods
+    otherwise.  Build instances with ``extension_of`` or ``field_make``.
+    """
 
     __slots__ = (
         "base", "degree", "modulus", "p", "k", "q", "zero", "one", "_red",
-        "_inv",
+        "_key", "_inv", "add", "sub", "neg",
     )
 
     def __init__(self, base: Field, degree: int, modulus: tuple):
@@ -169,106 +210,108 @@ class ExtensionField(Field):
         self.p = base.p
         self.k = base.k * degree
         self.q = base.q ** degree
-        self.zero = (base.zero,) * degree
-        self.one = (base.one,) + (base.zero,) * (degree - 1)
-        # _red[j] = t^(degree+j) reduced mod the modulus, built by the
-        # recurrence t^(degree+j+1) = t * t^(degree+j)
-        red = [tuple(base.neg(c) for c in modulus[:degree])]
+        self.zero = 0
+        self.one = 1
+        self._key = ("ext", base.spec_key(), degree, self.modulus)
+        self._inv = {}  # see _euclid_inv; TableField leaves it empty
+        # _red[j] = digits of t^(degree+j) reduced mod the modulus, built
+        # by the recurrence t^(degree+j+1) = t * t^(degree+j)
+        red = [[base.neg(c) for c in modulus[:degree]]]
         for _ in range(degree - 2):
             prev = red[-1]
-            shifted = (base.zero,) + prev[:-1]
+            shifted = [0] + prev[:-1]
             overflow = prev[-1]
-            nxt = tuple(
-                base.add(shifted[i], base.mul(overflow, red[0][i]))
-                for i in range(degree)
-            )
-            red.append(nxt)
-        self._red = tuple(red)
-        # inverses found so far; filled on use, since a table of all
-        # q - 1 would make a large tower expensive to build
-        self._inv = {}
+            red.append([base.add(shifted[i], base.mul(overflow, red[0][i]))
+                        for i in range(degree)])
+        self._red = tuple(map(tuple, red))
+        if self.p == 2:
+            self.add = self.sub = xor
+            self.neg = pos
+        else:
+            self.add, self.sub, self.neg = self._add, self._sub, self._neg
 
-    def add(self, a, b):
-        base = self.base
-        return tuple(base.add(x, y) for x, y in zip(a, b))
+    def __reduce__(self):
+        return _extension, (self.base, self.degree, self.modulus)
 
-    def sub(self, a, b):
-        base = self.base
-        return tuple(base.sub(x, y) for x, y in zip(a, b))
+    # odd characteristic: digit-wise in base p (see the module docstring)
 
-    def neg(self, a):
-        base = self.base
-        return tuple(base.neg(x) for x in a)
+    def _add(self, a, b):
+        p = self.p
+        out, scale = 0, 1
+        while a or b:
+            a, x = divmod(a, p)
+            b, y = divmod(b, p)
+            x += y
+            out += (x - p if x >= p else x) * scale
+            scale *= p
+        return out
 
-    def mul(self, a, b):
-        base = self.base
-        k = self.degree
-        conv = [base.zero] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            if ai == base.zero:
-                continue
-            for j, bj in enumerate(b):
-                if bj == base.zero:
-                    continue
-                conv[i + j] = base.add(conv[i + j], base.mul(ai, bj))
-        out = conv[:k]
-        for j in range(k - 1):
-            c = conv[k + j]
-            if c == base.zero:
-                continue
-            rj = self._red[j]
-            for i in range(k):
-                out[i] = base.add(out[i], base.mul(c, rj[i]))
-        return tuple(out)
+    def _sub(self, a, b):
+        p = self.p
+        out, scale = 0, 1
+        while a or b:
+            a, x = divmod(a, p)
+            b, y = divmod(b, p)
+            x -= y
+            out += (x + p if x < 0 else x) * scale
+            scale *= p
+        return out
 
-    def inv(self, a):
-        cached = self._inv.get(a)
-        if cached is not None:
-            return cached
-        if a == self.zero:
+    def _neg(self, a):
+        return self._sub(0, a)
+
+    def _euclid_inv(self, a):
+        """Inverse by extended Euclid against the modulus, on digits.
+
+        A Groebner run inverts the same few leading coefficients over
+        and over, so results are memoized, in a memo of bounded size.
+        """
+        memo = self._inv
+        inverse = memo.get(a)
+        if inverse is not None:
+            return inverse
+        if not a:
             raise ZeroDivisionError("inverse of 0")
-        g, u = _upoly_exgcd(self.base, _upoly_trim(self.base, a), self.modulus)
+        base = self.base
+        g, u = _upoly_exgcd(base, _digits(a, base.q, self.degree),
+                            self.modulus)
         if len(g) != 1:
             raise ArithmeticError("modulus not irreducible")
-        c = self.base.inv(g[0])
-        out = [self.base.mul(c, x) for x in u]
-        out += [self.base.zero] * (self.degree - len(out))
-        inverse = self._inv[a] = tuple(out[:self.degree])
+        c = base.inv(g[0])
+        if len(memo) >= INV_MEMO_MAX:
+            memo.clear()
+        inverse = memo[a] = _from_digits([base.mul(c, x) for x in u], base.q)
         return inverse
 
     def from_int(self, n: int):
-        return (self.base.from_int(n),) + (self.base.zero,) * (self.degree - 1)
+        return n % self.p
 
     def embed(self, b):
-        """Image of a base-field element as a constant of the extension."""
-        return (b,) + (self.base.zero,) * (self.degree - 1)
+        """Image of a base-field element: the constant with the same int."""
+        return b
 
     def element_from_index(self, i: int):
         if not 0 <= i < self.q:
             raise ValueError("index out of range")
-        digits = []
-        for _ in range(self.degree):
-            i, d = divmod(i, self.base.q)
-            digits.append(self.base.element_from_index(d))
-        return tuple(digits)
-
-    def index_of(self, a) -> int:
-        i = 0
-        for c in reversed(a):
-            i = i * self.base.q + self.base.index_of(c)
         return i
 
+    def index_of(self, a) -> int:
+        return a
+
     def encode(self, a):
-        return [self.base.encode(c) for c in a]
+        base = self.base
+        return [base.encode(c) for c in _digits(a, base.q, self.degree)]
 
     def decode(self, obj):
         if not isinstance(obj, (list, tuple)) or len(obj) != self.degree:
             raise ValueError(f"expected a length-{self.degree} coefficient vector")
-        return tuple(self.base.decode(c) for c in obj)
+        return _from_digits([self.base.decode(c) for c in obj], self.base.q)
 
     def spec_key(self):
-        mod_idx = tuple(self.base.index_of(c) for c in self.modulus)
-        return ("ext", self.base.spec_key(), self.degree, mod_idx)
+        return self._key
+
+    def __hash__(self):
+        return hash(self._key)
 
     def describe(self):
         return {
@@ -280,6 +323,240 @@ class ExtensionField(Field):
 
     def __repr__(self):
         return f"F_{self.p}^{self.k}"
+
+
+# the largest order that TableField serves
+TABLE_MAX = 1 << 16
+# the most inverses a large field remembers at once
+INV_MEMO_MAX = 1 << 12
+
+
+class TableField(ExtensionField):
+    """q <= 2**16: multiply and invert through log/exp tables.
+
+    ``_exp`` lists g^0 .. g^(q-2) twice over, so a sum of two logs
+    indexes it without a reduction; ``_zech[d]`` is log(1 + g^d), None
+    where 1 + g^d = 0, and serves odd characteristic only.  The tables
+    are built on first use, by ``__getattr__`` when a slot is still
+    empty.
+    """
+
+    __slots__ = ("_log", "_exp", "_zech")
+
+    def __getattr__(self, name):
+        if name not in TableField.__slots__:
+            raise AttributeError(name)
+        self._build_tables()
+        return getattr(self, name)
+
+    def _build_tables(self):
+        p, q = self.p, self.q
+        order = q - 1
+        g = _primitive_element(self)
+        # x -> x*g is F_p-linear in the base-p digits: cut x into chunks
+        # of c digits (radix R = p^c) and add up the images of the chunks
+        c = 1
+        while p ** (c + 1) <= 256:
+            c += 1
+        radix = p ** c
+        images = [[_schoolbook(self, v * radix ** i, g) for v in range(radix)]
+                  for i in range(-(-self.k // c))]
+        add = xor if p == 2 else partial(ExtensionField._add, self)
+        exp = [0] * (2 * order)
+        log = [0] * q
+        x = 1
+        for i in range(order):
+            exp[i] = exp[i + order] = x
+            log[x] = i
+            y = 0
+            for image in images:
+                x, v = divmod(x, radix)
+                y = add(y, image[v])
+            x = y
+        zech = None
+        if p != 2:
+            zech = [None] * order
+            for d in range(order):
+                x = exp[d]
+                s = x - x % p + (x + 1) % p  # 1 + x changes digit 0 only
+                if s:
+                    zech[d] = log[s]
+        self._exp, self._log, self._zech = exp, log, zech
+
+    def mul(self, a, b):
+        if a and b:
+            log = self._log
+            return self._exp[log[a] + log[b]]
+        return 0
+
+    def inv(self, a):
+        if not a:
+            raise ZeroDivisionError("inverse of 0")
+        return self._exp[self.q - 1 - self._log[a]]
+
+    def pow(self, a, e: int):
+        if e < 0:
+            raise ValueError("negative exponent")
+        if not a:
+            return 0 if e else 1
+        return self._exp[self._log[a] * e % (self.q - 1)]
+
+    def _add(self, a, b):
+        if not a:
+            return b
+        if not b:
+            return a
+        log = self._log
+        la = log[a]
+        # a negative difference wraps, since len(_zech) == q - 1
+        z = self._zech[log[b] - la]
+        return 0 if z is None else self._exp[la + z]
+
+    def _sub(self, a, b):
+        return self._add(a, self._neg(b))
+
+    def _neg(self, a):
+        # -1 = g^((q-1)/2) in odd characteristic
+        return self._exp[self._log[a] + (self.q - 1) // 2] if a else 0
+
+
+class PackedField(ExtensionField):
+    """q > 2**16 over a prime base: Kronecker-packed multiply.
+
+    A w-bit slot per digit holds every coefficient of the product and
+    of its fold, (2k-1)(p-1)^2 at most, so one bigint product and k-1
+    scaled adds of the packed rows of ``_red`` never carry across
+    slots.  ``_spread[c]`` packs a chunk of ``_chunk`` base-p digits.
+    """
+
+    __slots__ = ("_w", "_mask", "_chunk", "_spread", "_red_packed")
+
+    def __init__(self, base, degree, modulus):
+        super().__init__(base, degree, modulus)
+        p = self.p
+        w = self._w = ((2 * degree - 1) * (p - 1) ** 2).bit_length()
+        self._mask = (1 << w) - 1
+        # two chunks cover the digits; a chunk table stays below 2**16
+        c = 1
+        while c < (degree + 1) // 2 and p ** (c + 1) <= TABLE_MAX:
+            c += 1
+        self._chunk = c
+        # a one-digit chunk packs to itself, however large p is
+        self._spread = range(p) if c == 1 else [
+            _from_digits(_digits(i, p, c), 1 << w) for i in range(p ** c)]
+        self._red_packed = tuple(_from_digits(row, 1 << w)
+                                 for row in self._red)
+
+    def mul(self, a, b):
+        if not a or not b:
+            return 0
+        spread, w, mask, p = self._spread, self._w, self._mask, self.p
+        size, step = len(spread), self._chunk * w
+        pa = shift = 0
+        while a:
+            a, c = divmod(a, size)
+            pa |= spread[c] << shift
+            shift += step
+        pb = shift = 0
+        while b:
+            b, c = divmod(b, size)
+            pb |= spread[c] << shift
+            shift += step
+        prod = pa * pb
+        k = self.degree
+        low = prod & ((1 << (w * k)) - 1)
+        shift = w * k
+        for row in self._red_packed:
+            h = (prod >> shift) & mask
+            if h:
+                low += (h % p) * row
+            shift += w
+        out = 0
+        for shift in range(w * (k - 1), -1, -w):
+            out = out * p + ((low >> shift) & mask) % p
+        return out
+
+    def inv(self, a):
+        return self._euclid_inv(a)
+
+
+class TowerField(ExtensionField):
+    """q > 2**16 over an extension base: schoolbook on the base digits."""
+
+    __slots__ = ()
+
+    def mul(self, a, b):
+        return _schoolbook(self, a, b)
+
+    def inv(self, a):
+        return self._euclid_inv(a)
+
+
+def _digits(n, radix, count):
+    """The ``count`` lowest base-``radix`` digits of n, little-endian."""
+    out = []
+    for _ in range(count):
+        n, d = divmod(n, radix)
+        out.append(d)
+    return out
+
+
+def _from_digits(digits, radix):
+    out = 0
+    for d in reversed(digits):
+        out = out * radix + d
+    return out
+
+
+def _schoolbook(field, a, b):
+    """Product in any extension by digit convolution and ``_red`` fold."""
+    if not a or not b:
+        return 0
+    base = field.base
+    add, mul = base.add, base.mul
+    k = field.degree
+    x, y = _digits(a, base.q, k), _digits(b, base.q, k)
+    conv = [0] * (2 * k - 1)
+    for i, xi in enumerate(x):
+        if xi:
+            for j, yj in enumerate(y):
+                if yj:
+                    conv[i + j] = add(conv[i + j], mul(xi, yj))
+    out = conv[:k]
+    for c, row in zip(conv[k:], field._red):
+        if c:
+            for i, r in enumerate(row):
+                if r:
+                    out[i] = add(out[i], mul(c, r))
+    return _from_digits(out, base.q)
+
+
+def _primitive_element(field):
+    """The smallest index that generates the multiplicative group."""
+    order = field.q - 1
+    primes, n, d = [], order, 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        primes.append(n)
+
+    def power(x, e):
+        result = 1
+        while e:
+            if e & 1:
+                result = _schoolbook(field, result, x)
+            x = _schoolbook(field, x, x)
+            e >>= 1
+        return result
+
+    for g in range(2, field.q):
+        if all(power(g, order // ell) != 1 for ell in primes):
+            return g
+    raise ArithmeticError("no primitive element: modulus not irreducible")
 
 
 def is_prime(n: int) -> bool:
@@ -321,8 +598,8 @@ def prime_power_decompose(q: int) -> tuple[int, int]:
 
 
 # -- univariate polynomial helpers over an arbitrary Field --------------
-# Coefficient lists are little-endian; used only for modulus search and
-# extension-field inversion, so clarity beats speed here.
+# Coefficient lists are little-endian; used for the modulus search and
+# for inversion in the large extensions.
 
 def _upoly_trim(field, coeffs):
     coeffs = list(coeffs)
@@ -424,6 +701,19 @@ def _upoly_is_irreducible(base: Field, modulus) -> bool:
     return True
 
 
+@cache
+def _extension(base: Field, degree: int, modulus: tuple) -> ExtensionField:
+    """The extension modulo ``modulus``, its multiply chosen by order."""
+    if base.q ** degree <= TABLE_MAX:
+        cls = TableField
+    elif isinstance(base, PrimeField):
+        cls = PackedField
+    else:
+        cls = TowerField
+    return cls(base, degree, modulus)
+
+
+@cache
 def field_make(p: int, k: int, seed: int = 0) -> Field:
     """Construct F_{p^k} deterministically.
 
@@ -441,37 +731,33 @@ def field_make(p: int, k: int, seed: int = 0) -> Field:
     return extension_of(base, k, seed, label="modulus")
 
 
+@cache
 def extension_of(base: Field, degree: int, seed: int = 0,
                  label: str = "tower") -> ExtensionField:
     """Seeded search for a degree-``degree`` extension of ``base``."""
     stream = HashStream(label, base.p, base.k, degree, seed)
     while True:
-        coeffs = tuple(
-            base.element_from_index(stream.randint(base.q))
-            for _ in range(degree)
-        )
+        coeffs = tuple(stream.randint(base.q) for _ in range(degree))
         modulus = coeffs + (base.one,)
         if _upoly_is_irreducible(base, modulus):
-            return ExtensionField(base, degree, modulus)
+            return _extension(base, degree, modulus)
 
 
 # the randomized cross-checks draw from a field of at least this size
 MIN_RANDOMIZED_FIELD = 1 << 20
 
 
-def ensure_min_size(field: Field, min_size: int, seed: int = 0):
-    """Return (big_field, embed) with |big_field| >= min_size.
+def ensure_min_size(field: Field, min_size: int, seed: int = 0) -> Field:
+    """``field`` itself when |field| >= min_size, otherwise the smallest
+    sufficient tower extension over it.
 
-    ``embed`` maps elements of ``field`` into ``big_field``.  When the
-    field is already large enough it is returned with the identity map;
-    otherwise the smallest sufficient tower extension is built.
+    Elements of ``field`` are elements of the result as they stand.
     """
     if field.q >= min_size:
-        return field, lambda a: a
+        return field
     m = 1
     size = field.q
     while size < min_size:
         size *= field.q
         m += 1
-    ext = extension_of(field, m, seed)
-    return ext, ext.embed
+    return extension_of(field, m, seed)

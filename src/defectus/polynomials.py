@@ -429,7 +429,10 @@ def jacobian_minors(polys):
     return out
 
 
-def embed_poly(poly: Poly, big_field: Field, embed) -> Poly:
-    """Re-encode a polynomial over an extension via ``embed``."""
-    return Poly(big_field, poly.nvars,
-                {m: embed(c) for m, c in poly.terms.items()}, _clean=True)
+def embed_poly(poly: Poly, big_field: Field) -> Poly:
+    """The same polynomial over an extension of its field.
+
+    A base-field element is the extension's constant of the same int
+    (see ``fields``), so the terms carry over unchanged.
+    """
+    return Poly(big_field, poly.nvars, poly.terms, _clean=True)

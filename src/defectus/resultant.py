@@ -169,8 +169,7 @@ def _linear_change(poly: Poly, matrix, field: Field) -> Poly:
 
 def _random_invertible(field: Field, n: int, stream: HashStream):
     while True:
-        mat = [[field.element_from_index(stream.randint(field.q))
-                for _ in range(n)] for _ in range(n)]
+        mat = [[stream.randint(field.q) for _ in range(n)] for _ in range(n)]
         if determinant(mat, field) != field.zero:
             return mat
 
@@ -189,8 +188,8 @@ def resultant_vanishes(polys, degrees, seed: int = 0) -> bool:
     if determinant(mm.denominator, field) != field.zero:
         return determinant(mm.numerator, field) == field.zero
 
-    big, embed = ensure_min_size(field, MIN_RANDOMIZED_FIELD)
-    lifted = [embed_poly(f, big, embed) for f in polys]
+    big = ensure_min_size(field, MIN_RANDOMIZED_FIELD)
+    lifted = [embed_poly(f, big) for f in polys]
     stream = HashStream("resultant", seed, canonical_digest(polys))
     r = len(polys)
     for _ in range(4):

@@ -161,7 +161,7 @@ def test_dimension_field_extension_invariance(f3):
         gens = [random_poly(f3, 3, 2, stream) for _ in range(2)]
         if all(g.is_zero() for g in gens):
             continue
-        lifted = [embed_poly(g, f9, f9.embed) for g in gens]
+        lifted = [embed_poly(g, f9) for g in gens]
         assert ideal_dimension(groebner(gens)) == \
             ideal_dimension(groebner(lifted))
 

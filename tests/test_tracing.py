@@ -6,9 +6,15 @@ import cleanup in the library must keep every one of them resolvable.
 
 import importlib
 import importlib.util
+import pickle
 from pathlib import Path
 
-from defectus import BoundInputs, field_make, sample_system
+import pytest
+
+from defectus import (
+    BoundInputs, classify, ensure_min_size, field_make, sample_system,
+)
+from defectus.fields import MIN_RANDOMIZED_FIELD
 from defectus.rng import HashStream
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -45,3 +51,33 @@ def test_classify_builds_no_reduced_basis_at_q101(monkeypatch):
         clmod.classify(sample_system(inputs, field,
                                      HashStream("sample", 42, i)))
     assert not calls
+
+
+@pytest.mark.parametrize("make", [
+    lambda: field_make(2, 2),
+    lambda: field_make(3, 2),
+    lambda: ensure_min_size(field_make(101, 1), MIN_RANDOMIZED_FIELD),
+    lambda: ensure_min_size(field_make(2, 2), MIN_RANDOMIZED_FIELD),
+], ids=["F_4", "F_9", "F_101^4", "F_4^10"])
+def test_field_calls_are_counted_on_every_field_class(make):
+    # --trace 1 wraps mul and inv on the field's own class
+    tracing = _load_tracing()
+    field = make()
+    counts = {"mul": 0, "inv": 0}
+    with tracing.counting_field_calls(field, counts):
+        field.inv(field.mul(2, 3))
+        assert pickle.loads(pickle.dumps(field)) == field
+    assert counts == {"mul": 1, "inv": 1}
+    assert field.mul(2, 3) == field.mul(3, 2)  # the methods are restored
+
+
+def test_field_calls_are_counted_over_classify_at_q4():
+    tracing = _load_tracing()
+    inputs, field = BoundInputs(3, 2, 4, (2, 2)), field_make(2, 2)
+    systems = [sample_system(inputs, field, HashStream("sample", 42, i))
+               for i in range(10)]
+    counts = {"mul": 0, "inv": 0}
+    with tracing.counting_field_calls(field, counts):
+        for system in systems:
+            classify(system)
+    assert counts["mul"] > 0 and counts["inv"] > 0
