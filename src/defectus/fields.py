@@ -337,17 +337,15 @@ class TableField(ExtensionField):
     ``_exp`` lists g^0 .. g^(q-2) twice over, so a sum of two logs
     indexes it without a reduction; ``_zech[d]`` is log(1 + g^d), None
     where 1 + g^d = 0, and serves odd characteristic only.  The tables
-    are built on first use, by ``__getattr__`` when a slot is still
-    empty.
+    are built on first use: until then each slot holds an ``_Unbuilt``.
     """
 
     __slots__ = ("_log", "_exp", "_zech")
 
-    def __getattr__(self, name):
-        if name not in TableField.__slots__:
-            raise AttributeError(name)
-        self._build_tables()
-        return getattr(self, name)
+    def __init__(self, base, degree, modulus):
+        super().__init__(base, degree, modulus)
+        for name in self.__slots__:
+            setattr(self, name, _Unbuilt(self, name))
 
     def _build_tables(self):
         p, q = self.p, self.q
@@ -392,7 +390,8 @@ class TableField(ExtensionField):
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of 0")
-        return self._exp[self.q - 1 - self._log[a]]
+        # _exp[-l] = g^(2(q-1) - l) = g^(-l)
+        return self._exp[-self._log[a]]
 
     def pow(self, a, e: int):
         if e < 0:
@@ -418,6 +417,24 @@ class TableField(ExtensionField):
     def _neg(self, a):
         # -1 = g^((q-1)/2) in odd characteristic
         return self._exp[self._log[a] + (self.q - 1) // 2] if a else 0
+
+
+class _Unbuilt:
+    """A table of a TableField that is built on its first lookup.
+
+    It keeps attribute access on the field plain, where a
+    ``__getattr__`` hook would slow every lookup.
+    """
+
+    __slots__ = ("field", "name")
+
+    def __init__(self, field, name):
+        self.field, self.name = field, name
+
+    def __getitem__(self, i):
+        if getattr(self.field, self.name) is self:
+            self.field._build_tables()
+        return getattr(self.field, self.name)[i]
 
 
 class PackedField(ExtensionField):
