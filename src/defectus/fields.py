@@ -443,42 +443,32 @@ class PackedField(ExtensionField):
     A w-bit slot per digit holds every coefficient of the product and
     of its fold, (2k-1)(p-1)^2 at most, so one bigint product and k-1
     scaled adds of the packed rows of ``_red`` never carry across
-    slots.  ``_spread[c]`` packs a chunk of ``_chunk`` base-p digits.
+    slots.
     """
 
-    __slots__ = ("_w", "_mask", "_chunk", "_spread", "_red_packed")
+    __slots__ = ("_w", "_mask", "_red_packed")
 
     def __init__(self, base, degree, modulus):
         super().__init__(base, degree, modulus)
-        p = self.p
-        w = self._w = ((2 * degree - 1) * (p - 1) ** 2).bit_length()
+        w = self._w = ((2 * degree - 1) * (self.p - 1) ** 2).bit_length()
         self._mask = (1 << w) - 1
-        # two chunks cover the digits; a chunk table stays below 2**16
-        c = 1
-        while c < (degree + 1) // 2 and p ** (c + 1) <= TABLE_MAX:
-            c += 1
-        self._chunk = c
-        # a one-digit chunk packs to itself, however large p is
-        self._spread = range(p) if c == 1 else [
-            _from_digits(_digits(i, p, c), 1 << w) for i in range(p ** c)]
         self._red_packed = tuple(_from_digits(row, 1 << w)
                                  for row in self._red)
 
     def mul(self, a, b):
         if not a or not b:
             return 0
-        spread, w, mask, p = self._spread, self._w, self._mask, self.p
-        size, step = len(spread), self._chunk * w
+        w, mask, p = self._w, self._mask, self.p
         pa = shift = 0
         while a:
-            a, c = divmod(a, size)
-            pa |= spread[c] << shift
-            shift += step
+            a, d = divmod(a, p)
+            pa |= d << shift
+            shift += w
         pb = shift = 0
         while b:
-            b, c = divmod(b, size)
-            pb |= spread[c] << shift
-            shift += step
+            b, d = divmod(b, p)
+            pb |= d << shift
+            shift += w
         prod = pa * pb
         k = self.degree
         low = prod & ((1 << (w * k)) - 1)
