@@ -186,8 +186,8 @@ class PrimeField(Field):
 class ExtensionField(Field):
     """Degree-k extension of ``base`` modulo a monic irreducible.
 
-    Shared by the three multiplies: construction, digits, the JSON
-    form, and addition.  ``add``, ``sub`` and ``neg`` are chosen per
+    Shared by the three multiplies: construction, the JSON form,
+    addition and inversion by extended Euclid.  ``add``, ``sub`` and ``neg`` are chosen per
     instance: XOR in characteristic 2, the class's odd-p methods
     otherwise.  Build instances with ``extension_of`` or ``field_make``.
     """
