@@ -430,12 +430,12 @@ def _reports_digest(systems):
      "ed117acdc5ac109961e55aa6dfcec3ac886bccda2dafe5092e2a1f8ff1c9a6d1"),
     (4, 3, (2, 2),
      "3eab3328c3d302181a31bb72dd279ea7b4cfe39d491497d549722138b9625982"),
+    (3, 4, (2, 1, 1),
+     "f6ee6c7203b7fa80eb191e724bc969455a3d2cadff5c6e0896d20c1ce354b7ba"),
     (8, 3, (2, 2),
      "b7b8b8eb3f98490e3b38a8e07f621fdfc6d16020722056b6a1ee604f30f63988"),
     (9, 3, (2, 2),
      "c7344c1f7f5f61fe7dcf81127b0b9d6f2160f313e0f3c9dfbb1654d918d4cf57"),
-    (3, 4, (2, 1, 1),
-     "f6ee6c7203b7fa80eb191e724bc969455a3d2cadff5c6e0896d20c1ce354b7ba"),
 ])
 def test_reports_are_pinned_on_draws(q, r, d, expected):
     # every report field of 100 seeded draws; any change to a decision
