@@ -25,18 +25,18 @@ over F_p in the basis built level by level.  Hence
 
 Each extension picks its multiply once, by order, when it is built:
   * q <= 2**16 (``TableField``): log/exp tables over a primitive
-    element, built on first use; odd characteristic adds through Zech
-    logarithms (Lidl & Niederreiter, *Finite Fields*);
+    element (Lidl & Niederreiter, *Finite Fields*), built with the
+    field;
   * q > 2**16 over a prime base (``PackedField``): the digits go into
     bit slots wide enough for every convolution sum, one bigint product
     multiplies the polynomials (Kronecker substitution, von zur Gathen
     & Gerhard, *Modern Computer Algebra*, ch. 8), and the high slots
     fold back through the reductions of t^k .. t^(2k-2);
-  * q > 2**16 over an extension base (``TowerField``): schoolbook on
-    the base-field digits, folded the same way.
-The large fields invert by extended Euclid on the digits, through a
-memo that is emptied whenever it reaches ``INV_MEMO_MAX`` entries, so a
-cached field stays bounded.
+  * q > 2**16 over an extension base (``ExtensionField`` itself):
+    schoolbook on the base-field digits, folded the same way.
+Outside the tables, inversion is extended Euclid on the digits, through
+a memo that is emptied whenever it reaches ``INV_MEMO_MAX`` entries, so
+a cached field stays bounded.
 
 Two fields with equal (base, degree, modulus) compare equal and define
 identical arithmetic.  Moduli are found by a seeded deterministic
@@ -46,7 +46,7 @@ search and the construction are cached per process.
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import cache
 from operator import pos, xor
 
 from .rng import HashStream
@@ -186,10 +186,11 @@ class PrimeField(Field):
 class ExtensionField(Field):
     """Degree-k extension of ``base`` modulo a monic irreducible.
 
-    Shared by the three multiplies: construction, the JSON form,
-    addition and inversion by extended Euclid.  ``add``, ``sub`` and ``neg`` are chosen per
-    instance: XOR in characteristic 2, the class's odd-p methods
-    otherwise.  Build instances with ``extension_of`` or ``field_make``.
+    Multiplies by schoolbook and inverts by extended Euclid; the
+    subclasses replace both where q allows faster ones.  ``add``,
+    ``sub`` and ``neg`` are chosen per instance: XOR in characteristic
+    2, the base-p digit loops otherwise.  ``extension_of`` and
+    ``field_make`` build through a cache and pick the class by order.
     """
 
     __slots__ = (
@@ -213,7 +214,7 @@ class ExtensionField(Field):
         self.zero = 0
         self.one = 1
         self._key = ("ext", base.spec_key(), degree, self.modulus)
-        self._inv = {}  # see _euclid_inv; TableField leaves it empty
+        self._inv = {}  # see inv; TableField leaves it empty
         # _red[j] = digits of t^(degree+j) reduced mod the modulus, built
         # by the recurrence t^(degree+j+1) = t * t^(degree+j)
         red = [[base.neg(c) for c in modulus[:degree]]]
@@ -260,7 +261,29 @@ class ExtensionField(Field):
     def _neg(self, a):
         return self._sub(0, a)
 
-    def _euclid_inv(self, a):
+    def mul(self, a, b):
+        """Schoolbook: digit convolution, then the ``_red`` fold."""
+        if not a or not b:
+            return 0
+        base = self.base
+        add, mul = base.add, base.mul
+        k = self.degree
+        x, y = _digits(a, base.q, k), _digits(b, base.q, k)
+        conv = [0] * (2 * k - 1)
+        for i, xi in enumerate(x):
+            if xi:
+                for j, yj in enumerate(y):
+                    if yj:
+                        conv[i + j] = add(conv[i + j], mul(xi, yj))
+        out = conv[:k]
+        for c, row in zip(conv[k:], self._red):
+            if c:
+                for i, r in enumerate(row):
+                    if r:
+                        out[i] = add(out[i], mul(c, r))
+        return _from_digits(out, base.q)
+
+    def inv(self, a):
         """Inverse by extended Euclid against the modulus, on digits.
 
         A Groebner run inverts the same few leading coefficients over
@@ -335,19 +358,13 @@ class TableField(ExtensionField):
     """q <= 2**16: multiply and invert through log/exp tables.
 
     ``_exp`` lists g^0 .. g^(q-2) twice over, so a sum of two logs
-    indexes it without a reduction; ``_zech[d]`` is log(1 + g^d), None
-    where 1 + g^d = 0, and serves odd characteristic only.  The tables
-    are built on first use: until then each slot holds an ``_Unbuilt``.
+    indexes it without a reduction.  Addition is the inherited one.
     """
 
-    __slots__ = ("_log", "_exp", "_zech")
+    __slots__ = ("_log", "_exp")
 
     def __init__(self, base, degree, modulus):
         super().__init__(base, degree, modulus)
-        for name in self.__slots__:
-            setattr(self, name, _Unbuilt(self, name))
-
-    def _build_tables(self):
         p, q = self.p, self.q
         order = q - 1
         g = _primitive_element(self)
@@ -357,9 +374,10 @@ class TableField(ExtensionField):
         while p ** (c + 1) <= 256:
             c += 1
         radix = p ** c
-        images = [[_schoolbook(self, v * radix ** i, g) for v in range(radix)]
+        images = [[ExtensionField.mul(self, v * radix ** i, g)
+                   for v in range(radix)]
                   for i in range(-(-self.k // c))]
-        add = xor if p == 2 else partial(ExtensionField._add, self)
+        add = self.add
         exp = [0] * (2 * order)
         log = [0] * q
         x = 1
@@ -371,15 +389,7 @@ class TableField(ExtensionField):
                 x, v = divmod(x, radix)
                 y = add(y, image[v])
             x = y
-        zech = None
-        if p != 2:
-            zech = [None] * order
-            for d in range(order):
-                x = exp[d]
-                s = x - x % p + (x + 1) % p  # 1 + x changes digit 0 only
-                if s:
-                    zech[d] = log[s]
-        self._exp, self._log, self._zech = exp, log, zech
+        self._exp, self._log = exp, log
 
     def mul(self, a, b):
         if a and b:
@@ -399,42 +409,6 @@ class TableField(ExtensionField):
         if not a:
             return 0 if e else 1
         return self._exp[self._log[a] * e % (self.q - 1)]
-
-    def _add(self, a, b):
-        if not a:
-            return b
-        if not b:
-            return a
-        log = self._log
-        la = log[a]
-        # a negative difference wraps, since len(_zech) == q - 1
-        z = self._zech[log[b] - la]
-        return 0 if z is None else self._exp[la + z]
-
-    def _sub(self, a, b):
-        return self._add(a, self._neg(b))
-
-    def _neg(self, a):
-        # -1 = g^((q-1)/2) in odd characteristic
-        return self._exp[self._log[a] + (self.q - 1) // 2] if a else 0
-
-
-class _Unbuilt:
-    """A table of a TableField that is built on its first lookup.
-
-    It keeps attribute access on the field plain, where a
-    ``__getattr__`` hook would slow every lookup.
-    """
-
-    __slots__ = ("field", "name")
-
-    def __init__(self, field, name):
-        self.field, self.name = field, name
-
-    def __getitem__(self, i):
-        if getattr(self.field, self.name) is self:
-            self.field._build_tables()
-        return getattr(self.field, self.name)[i]
 
 
 class PackedField(ExtensionField):
@@ -483,20 +457,9 @@ class PackedField(ExtensionField):
             out = out * p + ((low >> shift) & mask) % p
         return out
 
-    def inv(self, a):
-        return self._euclid_inv(a)
-
-
-class TowerField(ExtensionField):
-    """q > 2**16 over an extension base: schoolbook on the base digits."""
-
-    __slots__ = ()
-
-    def mul(self, a, b):
-        return _schoolbook(self, a, b)
-
-    def inv(self, a):
-        return self._euclid_inv(a)
+    # in this class's own body, like mul, so that a tracer patching
+    # vars(type(field)) finds both
+    inv = ExtensionField.inv
 
 
 def _digits(n, radix, count):
@@ -513,29 +476,6 @@ def _from_digits(digits, radix):
     for d in reversed(digits):
         out = out * radix + d
     return out
-
-
-def _schoolbook(field, a, b):
-    """Product in any extension by digit convolution and ``_red`` fold."""
-    if not a or not b:
-        return 0
-    base = field.base
-    add, mul = base.add, base.mul
-    k = field.degree
-    x, y = _digits(a, base.q, k), _digits(b, base.q, k)
-    conv = [0] * (2 * k - 1)
-    for i, xi in enumerate(x):
-        if xi:
-            for j, yj in enumerate(y):
-                if yj:
-                    conv[i + j] = add(conv[i + j], mul(xi, yj))
-    out = conv[:k]
-    for c, row in zip(conv[k:], field._red):
-        if c:
-            for i, r in enumerate(row):
-                if r:
-                    out[i] = add(out[i], mul(c, r))
-    return _from_digits(out, base.q)
 
 
 def _primitive_element(field):
@@ -555,8 +495,8 @@ def _primitive_element(field):
         result = 1
         while e:
             if e & 1:
-                result = _schoolbook(field, result, x)
-            x = _schoolbook(field, x, x)
+                result = ExtensionField.mul(field, result, x)
+            x = ExtensionField.mul(field, x, x)
             e >>= 1
         return result
 
@@ -716,7 +656,7 @@ def _extension(base: Field, degree: int, modulus: tuple) -> ExtensionField:
     elif isinstance(base, PrimeField):
         cls = PackedField
     else:
-        cls = TowerField
+        cls = ExtensionField
     return cls(base, degree, modulus)
 
 

@@ -15,7 +15,6 @@ from defectus import (
 )
 from defectus.fields import (
     INV_MEMO_MAX, MIN_RANDOMIZED_FIELD, TABLE_MAX, PackedField, TableField,
-    TowerField,
 )
 from defectus.rng import HashStream
 
@@ -110,8 +109,24 @@ def test_multiply_is_chosen_by_order():
     assert type(field_make(2, 16)) is TableField and 2 ** 16 == TABLE_MAX
     assert type(field_make(2, 17)) is PackedField
     assert type(ensure_min_size(field_make(101, 1), 1 << 20)) is PackedField
-    assert type(ensure_min_size(f4, 1 << 20)) is TowerField
+    assert type(ensure_min_size(f4, 1 << 20)) is ExtensionField
     assert type(extension_of(f4, 3)) is TableField
+
+
+@pytest.mark.parametrize("name", ["F_8", "F_9", "F_101^4"])
+def test_extension_field_built_directly_has_working_arithmetic(name):
+    # the public constructor skips the factory: schoolbook and Euclid
+    made = FIELDS[name]()
+    field = ExtensionField(made.base, made.degree, made.modulus)
+    assert type(field) is ExtensionField and field == made
+    rf = _reference_of(field)
+    stream = HashStream("fields-direct", name)
+    draws = [stream.randint(field.q) for _ in range(40)] + [0, 1, field.q - 1]
+    for a in draws:
+        _check_element(field, rf, a)
+    for a, b in zip(draws, draws[1:] + draws[:1]):
+        _check_pair(field, rf, a, b)
+        assert field.mul(a, b) == made.mul(a, b)
 
 
 def test_construction_is_cached():
