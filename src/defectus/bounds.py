@@ -33,13 +33,30 @@ BUDGET_DEFAULT = 1 << 20
 
 
 class BudgetExceeded(RuntimeError):
-    """An enumeration would exceed the configured budget."""
+    """An enumeration of base^exponent items would exceed the budget.
 
-    def __init__(self, required: int, budget: int, what: str):
+    The message names the size as a power, so a refusal never formats
+    an integer of thousands of digits.
+    """
+
+    def __init__(self, base: int, exponent: int, budget: int, what: str):
         super().__init__(
-            f"{what} needs {required} evaluations, budget is {budget}")
-        self.required = required
+            f"{what} needs {base}^{exponent} evaluations, budget is {budget}")
+        self.base = base
+        self.exponent = exponent
         self.budget = budget
+
+    @property
+    def required(self) -> int:
+        return self.base ** self.exponent
+
+
+def max_exponent(base: int, budget: int) -> int:
+    """The largest e with base^e <= budget (base >= 2, budget >= 1)."""
+    e, size = 0, base
+    while size <= budget:
+        e, size = e + 1, size * base
+    return e
 
 
 def enumeration_budget() -> int:
@@ -71,6 +88,11 @@ class BoundInputs:
         if any(di < 1 for di in self.d):
             raise ValueError("degree caps must be >= 1")
         prime_power_decompose(self.q)  # raises unless q is a prime power
+
+    @property
+    def dim_f(self) -> int:
+        """dimF = sum_i C(d_i + r, r), the coefficient slots of a system."""
+        return sum(math.comb(di + self.r, self.r) for di in self.d)
 
     def to_json_dict(self):
         p, k = prime_power_decompose(self.q)
@@ -129,7 +151,7 @@ def derive(inputs: BoundInputs) -> BoundReport:
     r, s, q, d = inputs.r, inputs.s, inputs.q, inputs.d
     delta = math.prod(d)
     sigma = sum(d) - s
-    dim_f = sum(math.comb(di + r, r) for di in d)
+    dim_f = inputs.dim_f
     n_minors = math.comb(r + 1, s)
     if any(di < 2 for di in d):
         return BoundReport(inputs, delta, sigma, dim_f, n_minors, False,
@@ -178,9 +200,9 @@ def enumerate_points(system: PolySystem, ext_degree: int = 1,
     else:
         big = extension_of(field, ext_degree)
         polys = [embed_poly(f, big) for f in system.polys]
+    if system.r > max_exponent(big.q, budget):
+        raise BudgetExceeded(big.q, system.r, budget, "point enumeration")
     total = big.q ** system.r
-    if total > budget:
-        raise BudgetExceeded(total, budget, "point enumeration")
     points = []
     for idx in range(total):
         rest = idx

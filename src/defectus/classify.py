@@ -49,18 +49,19 @@ not depend on scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import combinations
 from typing import Optional
 
 from .fields import MIN_RANDOMIZED_FIELD, ensure_min_size
 from .groebner import (
     GREVLEX, groebner, normal_form, projective_dimension,
-    _cone_to_projective, _dimension_floor, _exact_divide, _packing,
+    _cone_to_projective, _dimension_floor, _exact_divide,
 )
 # not called here: bench/tracing.py wraps it; --trace 1 stops without it
 from .groebner import colon_ideal  # noqa: F401
 from .polynomials import (
-    Poly, PolySystem, canonical_digest, embed_poly, jacobian_minors,
-    monomials_upto,
+    Poly, PolySystem, _packing, canonical_digest, embed_poly,
+    jacobian_minors, packed_monomials,
 )
 from .rng import HashStream
 
@@ -138,19 +139,30 @@ def initial_form_criterion(system: PolySystem) -> bool:
     return projective_dimension(gb) == system.r - 1 - system.s
 
 
-def _rank_defect_dimension(system: PolySystem) -> int:
+def _rank_defect_dimension(system: PolySystem, minors=None) -> int:
     """Dimension of V(F_s, all s-by-s affine Jacobian minors).
+
+    ``minors`` are the C(r+1, s) homogenized minors,
+    ``jacobian_minors(system.homogenized())``, computed here when not
+    given.  The affine minors are the C(r, s) of them whose columns
+    exclude X_0, dehomogenized, in the same column order: at X_0 = 1,
+    dF^h/dX_j is dF/dX_j, and X_0 -> 1 is a ring map.
 
     Exact only above the floor r-s-1, the one threshold its callers
     test: at or below it the result is some value <= r-s-1, because the
     basis computation stops once its leading monomials force that bound.
     """
-    gens = list(system.polys) + jacobian_minors(list(system.polys))
-    return _dimension_floor(gens, system.r - system.s - 1, system.field,
-                            system.r)
+    r, s = system.r, system.s
+    if minors is None:
+        minors = jacobian_minors(system.homogenized())
+    affine = [m.dehomogenize()
+              for m, cols in zip(minors, combinations(range(r + 1), s))
+              if r not in cols]
+    return _dimension_floor(list(system.polys) + affine, r - s - 1,
+                            system.field, r)
 
 
-def fiber_dimension(system: PolySystem) -> int:
+def fiber_dimension(system: PolySystem, minors=None) -> int:
     """Projective dimension of V(F^h, all homogenized Jacobian minors).
 
     This is the fiber of the incidence variety over the system; -1 when
@@ -159,11 +171,14 @@ def fiber_dimension(system: PolySystem) -> int:
     Exact: the affine cone is computed with floor 0, and every cone of
     dimension <= 0 gives -1, so the basis computation may stop as soon
     as each of X_0..X_r has a pure power among its leading monomials.
+    ``minors`` are ``jacobian_minors(system.homogenized())``, computed
+    here when not given.
     """
     homog = system.homogenized()
-    gens = homog + jacobian_minors(homog)
+    if minors is None:
+        minors = jacobian_minors(homog)
     return _cone_to_projective(
-        _dimension_floor(gens, 0, system.field, system.r + 1))
+        _dimension_floor(homog + minors, 0, system.field, system.r + 1))
 
 
 def find_reducibility_witness(system: PolySystem):
@@ -180,23 +195,20 @@ def find_reducibility_witness(system: PolySystem):
     """
     field, r, q = system.field, system.r, system.field.q
     gb = None
-    pk = _packing(r, GREVLEX)
+    pk, key = _packing(r), GREVLEX.packed(r)
     for i, f in enumerate(system.polys, start=1):
         if f.is_zero() or f.degree() < 2:
             continue
-        fdeg = int(f.degree())
-        fpacked = pk.pack_terms(f.terms)
-        for gdeg in range(1, fdeg):
-            mons = monomials_upto(r, gdeg)
+        for gdeg in range(1, f.degree()):
+            mons = packed_monomials(r, gdeg)
             count = q ** len(mons)
             if count > DEFAULT_WITNESS_BUDGET:
                 continue
-            packed = [pk.pack(m) for m in mons]
-            top = {pk.pack(m) for m in mons if sum(m) == gdeg}
+            top = set(mons).difference(packed_monomials(r, gdeg - 1))
             for idx in range(count):
                 terms = {}
                 rest = idx
-                for m in packed:
+                for m in mons:
                     rest, digit = divmod(rest, q)
                     if digit:
                         terms[m] = digit
@@ -207,11 +219,11 @@ def find_reducibility_witness(system: PolySystem):
                 if terms[lead] != field.one:
                     continue  # divisors only matter up to scalar
                 try:
-                    quot = _exact_divide(fpacked, terms, field, pk)
+                    quot = _exact_divide(f.packed, terms, field, pk, key)
                 except ArithmeticError:
                     continue
-                cand = Poly(field, r, pk.unpack_terms(terms), _clean=True)
-                other = Poly(field, r, pk.unpack_terms(quot), _clean=True)
+                cand = Poly.from_packed(field, r, terms)
+                other = Poly.from_packed(field, r, quot)
                 if gb is None:
                     gb = groebner(list(system.polys))
                 if normal_form(cand, gb).is_zero():
@@ -237,9 +249,12 @@ def classify(system: PolySystem) -> ClassificationReport:
     stci = dims[-1] == r - s
     # not dims[-1] == -1: a unit ideal may stop on pure powers first
     b0 = all_full and dims[-1] <= r - s - 1
-    itci = rs and _rank_defect_dimension(system) <= r - s - 1
+    # one Jacobian per system: the rank-defect stage reads its affine
+    # minors off the homogenized ones that the fiber stage needs
+    minors = jacobian_minors(system.homogenized())
+    itci = rs and _rank_defect_dimension(system, minors) <= r - s - 1
 
-    fdim = fiber_dimension(system)
+    fdim = fiber_dimension(system, minors)
 
     if all_full and not b0 and fdim <= r - s - 2:
         irreducibility = CERTIFIED_IRREDUCIBLE
@@ -297,7 +312,7 @@ def kollar_dimension_test(gens, d: int, seed: int = 0) -> bool:
             if c:
                 mono = tuple(1 if t == i else 0 for t in range(n))
                 terms[mono] = c
-        lifted.append(Poly(big, n, terms, _clean=True))
+        lifted.append(Poly(big, n, terms))
     # cone of a nonempty projective set; floor 0 decides dim >= 1 exactly
     return _dimension_floor(lifted, 0, big, n) >= 1
 

@@ -63,8 +63,21 @@ def _field_from_flags(args):
     return field_make(p, k, 0)
 
 
+def _dumps(obj) -> str:
+    """Report text with every int printed whole: exact bounds such as
+    count_B1 can run past the interpreter's int-to-str digit limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit before 3.10.7
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _emit(obj, args) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    text = _dumps(obj)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

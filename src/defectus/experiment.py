@@ -25,14 +25,14 @@ from functools import cache
 
 from .bounds import (
     BoundInputs, BoundReport, BudgetExceeded, derive, enumeration_budget,
-    fraction_json,
+    fraction_json, max_exponent,
 )
 from .classify import (
     CERTIFIED_IRREDUCIBLE, CERTIFIED_REDUCIBLE, ClassificationReport,
     classify,
 )
 from .fields import Field, field_make, prime_power_decompose
-from .polynomials import Poly, PolySystem, monomials_upto
+from .polynomials import Poly, PolySystem, packed_monomials
 from .rng import HashStream
 
 CONFIDENCE_DEFAULT = 0.99
@@ -55,6 +55,8 @@ class ExperimentConfig:
             raise ValueError("monte_carlo needs n_samples >= 1")
         if not 0 < self.confidence < 1:
             raise ValueError("confidence must be in (0, 1)")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
 
     def build_field(self) -> Field:
         p, k = prime_power_decompose(self.inputs.q)
@@ -177,11 +179,12 @@ class EstimateReport:
 
 @cache
 def _layout(r: int, d: tuple):
-    return tuple(tuple(monomials_upto(r, di)) for di in d)
+    return tuple(packed_monomials(r, di) for di in d)
 
 
 def coefficient_layout(inputs: BoundInputs):
-    """Monomial slots per generator, in canonical descending order."""
+    """Packed monomial slots per generator, in canonical descending
+    order."""
     return _layout(inputs.r, tuple(inputs.d))
 
 
@@ -193,7 +196,7 @@ def _system_from_digits(inputs: BoundInputs, field: Field,
     for mons in coefficient_layout(inputs):
         # zip pulls a digit only while the generator has a slot left
         terms = {m: dig for m, dig in zip(mons, digits) if dig}
-        polys.append(Poly(field, inputs.r, terms, _clean=True))
+        polys.append(Poly.from_packed(field, inputs.r, terms))
     return PolySystem(field, inputs.r, inputs.s, tuple(inputs.d),
                       tuple(polys))
 
@@ -209,8 +212,7 @@ def sample_system(inputs: BoundInputs, field: Field,
 
 
 def census_size(inputs: BoundInputs) -> int:
-    return inputs.q ** sum(math.comb(di + inputs.r, inputs.r)
-                           for di in inputs.d)
+    return inputs.q ** inputs.dim_f
 
 
 def system_from_census_index(inputs: BoundInputs, field: Field,
@@ -258,9 +260,10 @@ def _ranges(total: int, chunks: int):
 
 
 def _map_chunks(worker, jobs, threads: int):
-    if threads <= 1 or len(jobs) <= 1:
+    workers = min(threads, len(jobs))
+    if workers <= 1:
         return [worker(j) for j in jobs]
-    with multiprocessing.get_context("fork").Pool(threads) as pool:
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
         return pool.map(worker, jobs)
 
 
@@ -430,15 +433,16 @@ def run_census(config: ExperimentConfig, dump_rows: bool = False):
 
     Returns (report, rows); rows is None unless ``dump_rows``, in which
     case it lists (census index, ClassificationReport) for every
-    system.  Refuses when the census exceeds ``enumeration_budget()``.
+    system.  Refuses when the census exceeds ``enumeration_budget()``,
+    comparing exponents: q^dimF itself is formed only once it fits.
     """
     if config.mode != "census":
         raise ValueError("config mode is not census")
-    total = census_size(config.inputs)
+    q, dim_f = config.inputs.q, config.inputs.dim_f
     budget = enumeration_budget()
-    if total > budget:
-        raise BudgetExceeded(total, budget, "census")
-    return _run(config, total, dump_rows)
+    if dim_f > max_exponent(q, budget):
+        raise BudgetExceeded(q, dim_f, budget, "census")
+    return _run(config, census_size(config.inputs), dump_rows)
 
 
 # -- rank-based oracle for the all-linear case -----------------------------

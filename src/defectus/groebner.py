@@ -10,23 +10,13 @@ last variable cheapest (that is where homogenization puts X_0); a block
 order eliminating an auxiliary last variable is used internally for
 colon ideals.
 
-The engine works on packed monomials (Monagan & Pearce, CASC 2007).
-A monomial in n variables is one int of n + 1 fields, 16 bits each:
-exponent e[i] sits at bit 16*i, so e[n-1] is the most significant
-exponent field, and the total degree sits above them all.  The top bit
-of every field is a guard bit, clear in every valid monomial; G is the
-mask of all guard bits.  A product is a + b, a quotient b - a, and a
-divides b iff ((b + G - a) & G) == G.  The lcm takes each field's
-larger value through the guard bits of a + G - b and recomputes the
-degree.  With L = 16*n, the grevlex key is ((M >> L) << (L + 1)) - M,
-i.e. the degree above the negated exponent fields; the elimination key
-puts the last exponent above the grevlex key of the rest.  Both are
-plain ints that sort exactly as the tuple keys of ``MonomialOrder``.
-An exponent or degree of 2**15 or more does not fit: packing such an
-input, or any product or lcm the engine forms that reaches it, raises
-ValueError instead of wrapping.  ``groebner``, ``normal_form``
-and ``colon_ideal`` pack their inputs once and unpack the result once;
-everything public keeps exponent tuples.
+The engine works on the packed term maps ``Poly.packed`` directly
+(Monagan & Pearce, CASC 2007; the layout, its order keys and the
+2**15 limit live in ``polynomials``): a product is an int add, a
+quotient an int subtract, divisibility one guard-bit test.  Any
+product or lcm the engine forms that reaches the packing limit raises
+ValueError instead of wrapping.  The only re-encoding is colon_ideal's
+embedding into one more variable for the block order.
 
 Dimension is the combinatorial one: the size of a maximum subset of
 variables independent modulo the leading-term ideal.  It equals the
@@ -57,34 +47,15 @@ reduced.
 
 from __future__ import annotations
 
-from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from operator import lshift
 from typing import Callable, Sequence
 
 from .fields import Field
-from .polynomials import Poly, grevlex_key
-
-_WIDTH = 16                    # bits per packed field, guard bit on top
-_LIMIT = 1 << (_WIDTH - 1)     # every exponent and degree stays below
-_FIELD = (1 << _WIDTH) - 1
-
-
-def _grevlex_packed(nvars):
-    bits = nvars * _WIDTH
-    return lambda m: ((m >> bits) << (bits + 1)) - m
-
-
-def _elim_last_packed(nvars):
-    bits = nvars * _WIDTH
-    low = max(nvars - 1, 0) * _WIDTH
-    rest = (1 << low) - 1
-
-    def key(m):
-        t = (m >> low) & _FIELD
-        return (((t << _WIDTH) + (m >> bits) - t) << low) - (m & rest)
-    return key
+from .polynomials import (
+    Poly, _elim_last_packed, _grevlex_packed, _overflow, _packing,
+    grevlex_key,
+)
 
 
 class MonomialOrder:
@@ -145,82 +116,17 @@ class GroebnerBasis:
         return f"GroebnerBasis({len(self.gens)} gens, {self.order.kind})"
 
 
-# -- packed monomials ----------------------------------------------------
-
-def _overflow():
-    raise ValueError(f"exponent or degree reaches the packing limit {_LIMIT}")
-
-
-class _Packing:
-    """Packing of monomials in ``nvars`` variables, with one order's key."""
-
-    __slots__ = ("guard", "key", "_shifts", "_bits", "_exps", "_ones",
-                 "_top")
-
-    def __init__(self, nvars: int, order: MonomialOrder):
-        self._shifts = tuple(range(0, nvars * _WIDTH, _WIDTH))
-        self._bits = nvars * _WIDTH
-        self.guard = sum(_LIMIT << s
-                         for s in range(0, self._bits + 1, _WIDTH))
-        self._exps = sum((_LIMIT - 1) << s for s in self._shifts)
-        self._ones = sum(1 << s for s in self._shifts)
-        self._top = max(nvars - 1, 0) * _WIDTH
-        self.key = order.packed(nvars)
-
-    def pack(self, e) -> int:
-        deg = sum(e)
-        if deg >= _LIMIT:
-            _overflow()
-        return sum(map(lshift, e, self._shifts)) + (deg << self._bits)
-
-    def unpack(self, m: int) -> tuple:
-        return tuple((m >> s) & _FIELD for s in self._shifts)
-
-    def pack_terms(self, terms: dict) -> dict:
-        pack = self.pack
-        return {pack(m): c for m, c in terms.items()}
-
-    def unpack_terms(self, terms: dict) -> dict:
-        unpack = self.unpack
-        return {unpack(m): c for m, c in terms.items()}
-
-    def lcm(self, a: int, b: int) -> int:
-        g = (a + self.guard - b) & self.guard   # guards where a >= b
-        take_a = g - (g >> (_WIDTH - 1))        # value bits of those fields
-        e = (a & take_a | b & ~take_a) & self._exps
-        # times _ones, the top exponent field collects the degree
-        m = e + ((((e * self._ones) >> self._top) & _FIELD) << self._bits)
-        if m & self.guard:
-            _overflow()
-        return m
-
-    def power_var(self, m: int):
-        """i when m is a pure power of x_i, -1 when m is 1, else None."""
-        if not m:
-            return -1
-        e = m & self._exps
-        i = (e.bit_length() - 1) // _WIDTH
-        return i if e == (m >> self._bits) << (i * _WIDTH) else None
-
-    def support(self, m: int) -> int:
-        """Bit mask of the variables that occur in m."""
-        return sum(1 << i for i, s in enumerate(self._shifts)
-                   if (m >> s) & _FIELD)
-
-
-_packing = cache(_Packing)   # one packing per (nvars, order)
-
-
 # -- packed engine -------------------------------------------------------
 # A basis record is (terms_dict, leading_monomial, leading_coefficient),
-# every monomial packed.
+# every monomial packed.  ``pk`` is the packing of the ring, ``key`` the
+# order's int key on it.
 
 def _record(terms, key):
     lm = max(terms, key=key)
     return (terms, lm, terms[lm])
 
 
-def _normal_form(terms, records, field, pk):
+def _normal_form(terms, records, field, pk, key):
     """Full remainder of ``terms`` modulo the records (deterministic).
 
     ``work`` holds the coefficients; the heap holds each monomial pushed
@@ -228,7 +134,7 @@ def _normal_form(terms, records, field, pk):
     cancelled.  Reduction adds only monomials below the one it removes,
     so the heap yields the leading monomial of ``work`` every time.
     """
-    key, guard = pk.key, pk.guard
+    guard = pk.guard
     zero = field.zero
     rem = {}
     work = dict(terms)
@@ -292,15 +198,14 @@ def _s_poly(rec_i, rec_j, lcm, field, guard):
     return out
 
 
-def _buchberger(seed_terms, field, pk, stop=None):
+def _buchberger(seed_terms, field, pk, key, stop=None):
     """Unreduced basis of the seeds' ideal, as a list of records.
 
     ``stop(var)`` is called right after a record whose leading
     monomial is 1 (var -1) or a pure power of x_var joins the basis;
     when it returns true, the partial basis is returned as it stands.
     """
-    key, guard, lcm_of = pk.key, pk.guard, pk.lcm
-    power_var = pk.power_var
+    guard, lcm_of, power_var = pk.guard, pk.lcm, pk.power_var
     basis = []
     queue = []       # (key of the lcm, i, j, lcm), smallest rank first
     pending = set()  # the (i, j) in queue, for the chain criterion
@@ -338,15 +243,15 @@ def _buchberger(seed_terms, field, pk, stop=None):
         if skip:
             continue
         rem = _normal_form(_s_poly(basis[i], basis[j], lcm, field, guard),
-                           basis, field, pk)
+                           basis, field, pk, key)
         if rem and add_record(rem):
             return basis
     return basis
 
 
-def _reduce_basis(basis, field, pk):
+def _reduce_basis(basis, field, pk, key):
     """Unique reduced form: minimal, inter-reduced, monic, sorted."""
-    key, guard = pk.key, pk.guard
+    guard = pk.guard
     recs = sorted(basis, key=lambda r: key(r[1]))
     kept = []
     for rec in recs:
@@ -358,7 +263,7 @@ def _reduce_basis(basis, field, pk):
         changed = False
         for idx in range(len(kept)):
             others = kept[:idx] + kept[idx + 1:]
-            rem = _normal_form(kept[idx][0], others, field, pk)
+            rem = _normal_form(kept[idx][0], others, field, pk, key)
             if rem != kept[idx][0]:
                 kept[idx] = _record(rem, key)
                 changed = True
@@ -390,11 +295,10 @@ def groebner(gens: Sequence[Poly], order: MonomialOrder = GREVLEX,
                 raise ValueError("generators live in different rings")
     elif field is None or nvars is None:
         raise ValueError("empty generator list needs field and nvars")
-    pk = _packing(nvars, order)
-    seed = [pk.pack_terms(g.terms) for g in gens if not g.is_zero()]
-    basis = _buchberger(seed, field, pk)
-    polys = tuple(Poly(field, nvars, pk.unpack_terms(t), _clean=True)
-                  for t, _ in _reduce_basis(basis, field, pk))
+    pk, key = _packing(nvars), order.packed(nvars)
+    basis = _buchberger([g.packed for g in gens if g.packed], field, pk, key)
+    polys = tuple(Poly.from_packed(field, nvars, t)
+                  for t, _ in _reduce_basis(basis, field, pk, key))
     return GroebnerBasis(field, nvars, order, polys)
 
 
@@ -402,21 +306,21 @@ def normal_form(f: Poly, gb: GroebnerBasis) -> Poly:
     """Remainder of multivariate division; zero iff f lies in the ideal."""
     if f.nvars != gb.nvars or f.field != gb.field:
         raise ValueError("polynomial not in the basis ring")
-    pk = _packing(gb.nvars, gb.order)
-    records = [_record(pk.pack_terms(g.terms), pk.key) for g in gb.gens]
-    rem = _normal_form(pk.pack_terms(f.terms), records, gb.field, pk)
-    return Poly(gb.field, gb.nvars, pk.unpack_terms(rem), _clean=True)
+    pk, key = _packing(gb.nvars), gb.order.packed(gb.nvars)
+    records = [_record(g.packed, key) for g in gb.gens]
+    rem = _normal_form(f.packed, records, gb.field, pk, key)
+    return Poly.from_packed(gb.field, gb.nvars, rem)
 
 
-def _exact_divide(num, div, field, pk):
+def _exact_divide(num, div, field, pk, key):
     """Quotient of an exact division of packed term maps.
 
-    ``pk`` gives the packing and the order; raises ArithmeticError if
+    ``pk`` is the packing, ``key`` the order; raises ArithmeticError if
     the division is inexact.  The smallest monomial of a product is the
     product of the smallest ones, so a divisor whose smallest monomial
     does not divide the numerator's is rejected before any arithmetic.
     """
-    key, guard = pk.key, pk.guard
+    guard = pk.guard
     if num and (min(num, key=key) + guard
                 - min(div, key=key)) & guard != guard:
         raise ArithmeticError("inexact division")
@@ -460,36 +364,28 @@ def colon_ideal(gb: GroebnerBasis, f: Poly) -> GroebnerBasis:
         raise ValueError("polynomial not in the basis ring")
     field = gb.field
     n = gb.nvars
-    pk = _packing(n + 1, ELIM_LAST)
-    pack = pk.pack
-    # t*I and (1 - t)*f inside K[x_1..x_n, t]
-    ext_gens = []
-    for g in gb.gens:
-        ext_gens.append({pack(m + (1,)): c for m, c in g.terms.items()})
-    mixed = {pack(m + (0,)): c for m, c in f.terms.items()}
-    for m, c in f.terms.items():
-        mt = pack(m + (1,))
-        v = field.sub(mixed.get(mt, field.zero), c)
-        if v == field.zero:
-            mixed.pop(mt, None)
-        else:
-            mixed[mt] = v
+    # t*I and (1 - t)*f inside K[x_1..x_n, t]: the one re-encoding,
+    # each monomial times t^0 or t^1 in n + 1 variables
+    append = _packing(n).append
+    ext_gens = [{append(m, 1): c for m, c in g.packed.items()}
+                for g in gb.gens]
+    mixed = {append(m, 0): c for m, c in f.packed.items()}
+    mixed.update({append(m, 1): field.neg(c) for m, c in f.packed.items()})
     ext_gens.append(mixed)
+    epk, ekey = _packing(n + 1), ELIM_LAST.packed(n + 1)
     basis = _reduce_basis(
-        _buchberger([t for t in ext_gens if t], field, pk), field, pk)
+        _buchberger([t for t in ext_gens if t], field, epk, ekey),
+        field, epk, ekey)
     # under the block order, a t-free leading monomial forces the whole
     # element t-free, so these form a grevlex basis of I intersect (f)
-    gpk = _packing(n, GREVLEX)
-    fpacked = gpk.pack_terms(f.terms)
+    pk, key = _packing(n), GREVLEX.packed(n)
+    split_last = epk.split_last
     quotients = []
     for terms, lm in basis:
-        if pk.unpack(lm)[-1] == 0:
-            inter = {gpk.pack(e[:-1]): c
-                     for e, c in pk.unpack_terms(terms).items()}
-            quotients.append(Poly(
-                field, n,
-                gpk.unpack_terms(_exact_divide(inter, fpacked, field, gpk)),
-                _clean=True))
+        if split_last(lm)[1] == 0:
+            inter = {split_last(m)[0]: c for m, c in terms.items()}
+            quotients.append(Poly.from_packed(
+                field, n, _exact_divide(inter, f.packed, field, pk, key)))
     return groebner(quotients, GREVLEX, field=field, nvars=n)
 
 
@@ -513,8 +409,8 @@ def ideal_dimension(gb: GroebnerBasis) -> int:
     -1 for the unit ideal.  Computed as the largest variable subset S
     such that no leading monomial is supported inside S.
     """
-    supports = [sum(1 << i for i, e in enumerate(g.leading_monomial()) if e)
-                for g in gb.gens]
+    pk, key = _packing(gb.nvars), gb.order.packed(gb.nvars)
+    supports = [pk.support(max(g.packed, key=key)) for g in gb.gens]
     return _independent_dim(supports, gb.nvars)
 
 
@@ -529,8 +425,8 @@ def _dimension_floor(gens: Sequence[Poly], floor: int, field: Field,
     the dimension off the unreduced basis, whose leading monomials
     already generate LT(I).
     """
-    pk = _packing(nvars, GREVLEX)
-    seed = [pk.pack_terms(g.terms) for g in gens if not g.is_zero()]
+    pk, key = _packing(nvars), GREVLEX.packed(nvars)
+    seed = [g.packed for g in gens if g.packed]
     pure = 0   # bit mask of the variables with a pure power so far
 
     def stop(var):
@@ -540,7 +436,7 @@ def _dimension_floor(gens: Sequence[Poly], floor: int, field: Field,
         pure |= 1 << var
         return nvars - pure.bit_count() <= floor
 
-    basis = _buchberger(seed, field, pk, stop)
+    basis = _buchberger(seed, field, pk, key, stop)
     return _independent_dim([pk.support(rec[1]) for rec in basis], nvars)
 
 

@@ -1,9 +1,28 @@
 """Sparse multivariate polynomials over a finite field.
 
-Monomials are plain exponent tuples.  A polynomial is a term map
-(monomial -> nonzero coefficient) plus its variable count and field.
-Term iteration is canonical (descending graded reverse lexicographic),
-so equal polynomials serialize to identical bytes.
+A polynomial is a term map (packed monomial -> nonzero coefficient),
+``Poly.packed``, plus its variable count and field.  Exponent tuples
+appear only at the edges: the validating constructor, the ``terms``
+view, ``sorted_terms``, ``leading_monomial``, JSON, ``canonical_bytes``
+and ``repr``.  Canonical output order is descending graded reverse
+lexicographic, so equal polynomials serialize to identical bytes.
+
+Packed monomials (Monagan & Pearce, CASC 2007) are the one monomial
+encoding of the package, decided here.  A monomial in n variables is
+one int of n + 1 fields, 16 bits each: exponent e[i] sits at bit 16*i,
+so e[n-1] is the most significant exponent field, and the total degree
+sits above them all.  The top bit of every field is a guard bit, clear
+in every valid monomial; G is the mask of all guard bits.  A product
+is a + b, a quotient b - a, and a divides b iff ((b + G - a) & G) == G.
+The lcm takes each field's larger value through the guard bits of
+a + G - b and recomputes the degree.  With L = 16*n, the grevlex key
+is ((M >> L) << (L + 1)) - M, i.e. the degree above the negated
+exponent fields; the elimination key puts the last exponent above the
+grevlex key of the rest.  Both are plain ints that sort exactly as the
+tuple keys (``grevlex_key``).  An exponent or degree of 2**15 or more
+does not fit: building such a polynomial, and any product,
+homogenization, lcm or reduction that would reach it, raises
+ValueError instead of wrapping.
 
 Variable layout: an affine polynomial in r variables uses indices
 0..r-1 for X_1..X_r.  Homogenization appends the homogenizing variable
@@ -14,7 +33,9 @@ other variable.  The zero polynomial has degree NEG_INF.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cache
 from itertools import combinations
+from operator import lshift
 import hashlib
 import json
 
@@ -24,10 +45,6 @@ NEG_INF = float("-inf")
 
 
 # -- monomials -----------------------------------------------------------
-
-def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
 
 def grevlex_key(e):
     """Sort key: bigger key = bigger monomial under grevlex.
@@ -65,47 +82,169 @@ def monomials_upto(nvars: int, degree: int):
     return out
 
 
+# -- packed monomials ----------------------------------------------------
+
+_WIDTH = 16                    # bits per packed field, guard bit on top
+_LIMIT = 1 << (_WIDTH - 1)     # every exponent and degree stays below
+_FIELD = (1 << _WIDTH) - 1
+
+
+def _overflow():
+    raise ValueError(f"exponent or degree reaches the packing limit {_LIMIT}")
+
+
+class _Packing:
+    """The packed layout of monomials in ``nvars`` variables."""
+
+    __slots__ = ("nvars", "bits", "guard", "_shifts", "_exps", "_ones",
+                 "_top")
+
+    def __init__(self, nvars: int):
+        self.nvars = nvars
+        self.bits = nvars * _WIDTH              # shift of the degree field
+        self._shifts = tuple(range(0, self.bits, _WIDTH))
+        self.guard = sum(_LIMIT << s
+                         for s in range(0, self.bits + 1, _WIDTH))
+        self._exps = sum((_LIMIT - 1) << s for s in self._shifts)
+        self._ones = sum(1 << s for s in self._shifts)
+        self._top = max(nvars - 1, 0) * _WIDTH  # shift of the last exponent
+
+    def pack(self, e) -> int:
+        """The packed monomial of an exponent vector, validated."""
+        if len(e) != self.nvars:
+            raise ValueError("exponent vector has wrong length")
+        if any(x < 0 for x in e):
+            raise ValueError("negative exponent")
+        deg = sum(e)
+        if deg >= _LIMIT:
+            _overflow()
+        return sum(map(lshift, e, self._shifts)) + (deg << self.bits)
+
+    def unpack(self, m: int) -> tuple:
+        return tuple((m >> s) & _FIELD for s in self._shifts)
+
+    def lcm(self, a: int, b: int) -> int:
+        g = (a + self.guard - b) & self.guard   # guards where a >= b
+        take_a = g - (g >> (_WIDTH - 1))        # value bits of those fields
+        e = (a & take_a | b & ~take_a) & self._exps
+        # times _ones, the top exponent field collects the degree
+        m = e + ((((e * self._ones) >> self._top) & _FIELD) << self.bits)
+        if m & self.guard:
+            _overflow()
+        return m
+
+    def power_var(self, m: int):
+        """i when m is a pure power of x_i, -1 when m is 1, else None."""
+        if not m:
+            return -1
+        e = m & self._exps
+        i = (e.bit_length() - 1) // _WIDTH
+        return i if e == (m >> self.bits) << (i * _WIDTH) else None
+
+    def support(self, m: int) -> int:
+        """Bit mask of the variables that occur in m."""
+        return sum(1 << i for i, s in enumerate(self._shifts)
+                   if (m >> s) & _FIELD)
+
+    def append(self, m: int, e: int) -> int:
+        """m * x_nvars^e, a monomial in nvars + 1 variables."""
+        deg = (m >> self.bits) + e
+        if deg >= _LIMIT:
+            _overflow()
+        return (m & self._exps) + (e << self.bits) \
+            + (deg << (self.bits + _WIDTH))
+
+    def split_last(self, m: int):
+        """(m without its last variable, in nvars - 1 variables; the
+        exponent of that variable)."""
+        e = (m >> self._top) & _FIELD
+        rest = m & ((1 << self._top) - 1)
+        return rest + (((m >> self.bits) - e) << self._top), e
+
+
+_packing = cache(_Packing)   # one packing per variable count
+
+
+@cache
+def _grevlex_packed(nvars: int):
+    """Int sort key on packed monomials: the order of ``grevlex_key``."""
+    bits = nvars * _WIDTH
+    return lambda m: ((m >> bits) << (bits + 1)) - m
+
+
+@cache
+def _elim_last_packed(nvars: int):
+    """Int sort key: the last exponent first, then grevlex on the rest."""
+    bits = nvars * _WIDTH
+    low = max(nvars - 1, 0) * _WIDTH
+    rest = (1 << low) - 1
+
+    def key(m):
+        t = (m >> low) & _FIELD
+        return (((t << _WIDTH) + (m >> bits) - t) << low) - (m & rest)
+    return key
+
+
+@cache
+def packed_monomials(nvars: int, degree: int) -> tuple:
+    """``monomials_upto(nvars, degree)``, packed, in the same order."""
+    if degree >= _LIMIT:
+        _overflow()
+    return tuple(map(_packing(nvars).pack, monomials_upto(nvars, degree)))
+
+
 # -- polynomials ---------------------------------------------------------
 
 class Poly:
-    """Immutable sparse polynomial; stored coefficients are never zero."""
+    """Immutable sparse polynomial; stored coefficients are never zero.
 
-    __slots__ = ("field", "nvars", "terms")
+    ``packed`` maps packed monomials to coefficients; ``terms`` is the
+    same map keyed by exponent tuples, in the same order.
+    """
 
-    def __init__(self, field: Field, nvars: int, terms: dict, _clean=False):
+    __slots__ = ("field", "nvars", "packed")
+
+    def __init__(self, field: Field, nvars: int, terms: dict):
+        """Build from {exponent tuple: coefficient}, validating each
+        exponent vector and dropping zero coefficients."""
+        pack = _packing(nvars).pack
+        zero = field.zero
+        packed = {}
+        for m, c in terms.items():
+            pm = pack(m)
+            if c != zero:
+                packed[pm] = c
         self.field = field
         self.nvars = nvars
-        if _clean:
-            self.terms = terms
-        else:
-            zero = field.zero
-            cleaned = {}
-            for m, c in terms.items():
-                if len(m) != nvars:
-                    raise ValueError("exponent vector has wrong length")
-                if any(e < 0 for e in m):
-                    raise ValueError("negative exponent")
-                if c != zero:
-                    cleaned[m] = c
-            self.terms = cleaned
+        self.packed = packed
 
     # construction helpers
 
     @classmethod
+    def from_packed(cls, field: Field, nvars: int, packed: dict):
+        """Wrap {packed monomial: nonzero coefficient}, unchecked."""
+        poly = object.__new__(cls)
+        poly.field = field
+        poly.nvars = nvars
+        poly.packed = packed
+        return poly
+
+    @classmethod
     def zero(cls, field, nvars):
-        return cls(field, nvars, {}, _clean=True)
+        return cls.from_packed(field, nvars, {})
 
     @classmethod
     def constant(cls, field, nvars, c):
         if c == field.zero:
             return cls.zero(field, nvars)
-        return cls(field, nvars, {(0,) * nvars: c}, _clean=True)
+        return cls.from_packed(field, nvars, {0: c})
 
     @classmethod
     def variable(cls, field, nvars, i):
         e = [0] * nvars
         e[i] = 1
-        return cls(field, nvars, {tuple(e): field.one}, _clean=True)
+        return cls.from_packed(field, nvars,
+                               {_packing(nvars).pack(e): field.one})
 
     @classmethod
     def from_int_terms(cls, field, nvars, int_terms: dict):
@@ -115,89 +254,106 @@ class Poly:
 
     # basic structure
 
+    @property
+    def terms(self) -> dict:
+        """{exponent tuple: coefficient}, in the order of ``packed``."""
+        unpack = _packing(self.nvars).unpack
+        return {unpack(m): c for m, c in self.packed.items()}
+
     def is_zero(self):
-        return not self.terms
+        return not self.packed
 
     def degree(self):
-        if not self.terms:
+        if not self.packed:
             return NEG_INF
-        return max(sum(m) for m in self.terms)
+        # the degree field is the most significant one
+        return max(self.packed) >> (self.nvars * _WIDTH)
 
     def is_homogeneous(self):
-        degrees = {sum(m) for m in self.terms}
-        return len(degrees) <= 1
+        bits = self.nvars * _WIDTH
+        return len({m >> bits for m in self.packed}) <= 1
 
     def sorted_terms(self):
-        return sorted(self.terms.items(),
-                      key=lambda t: grevlex_key(t[0]), reverse=True)
+        unpack = _packing(self.nvars).unpack
+        packed = self.packed
+        return [(unpack(m), packed[m])
+                for m in sorted(packed, key=_grevlex_packed(self.nvars),
+                                reverse=True)]
+
+    def _leading(self):
+        if not self.packed:
+            raise ValueError("zero polynomial has no leading monomial")
+        return max(self.packed, key=_grevlex_packed(self.nvars))
 
     def leading_monomial(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=grevlex_key)
+        return _packing(self.nvars).unpack(self._leading())
 
     def leading_coefficient(self):
-        return self.terms[self.leading_monomial()]
+        return self.packed[self._leading()]
 
     # arithmetic
 
     def __add__(self, other):
         self._check(other)
         f = self.field
-        out = dict(self.terms)
-        for m, c in other.terms.items():
+        out = dict(self.packed)
+        for m, c in other.packed.items():
             s = f.add(out.get(m, f.zero), c)
             if s == f.zero:
                 out.pop(m, None)
             else:
                 out[m] = s
-        return Poly(f, self.nvars, out, _clean=True)
+        return Poly.from_packed(f, self.nvars, out)
 
     def __sub__(self, other):
         self._check(other)
         f = self.field
-        out = dict(self.terms)
-        for m, c in other.terms.items():
+        out = dict(self.packed)
+        for m, c in other.packed.items():
             s = f.sub(out.get(m, f.zero), c)
             if s == f.zero:
                 out.pop(m, None)
             else:
                 out[m] = s
-        return Poly(f, self.nvars, out, _clean=True)
+        return Poly.from_packed(f, self.nvars, out)
 
     def __neg__(self):
         f = self.field
-        return Poly(f, self.nvars,
-                    {m: f.neg(c) for m, c in self.terms.items()}, _clean=True)
+        return Poly.from_packed(
+            f, self.nvars, {m: f.neg(c) for m, c in self.packed.items()})
 
     def __mul__(self, other):
         self._check(other)
         f = self.field
+        a, b = self.packed, other.packed
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
+        # the product has degree deg a + deg b exactly, and no exponent
+        # exceeds the degree: one check covers every term's int add
+        if a and b and self.degree() + other.degree() >= _LIMIT:
+            _overflow()
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = m1 + m2
                 s = f.add(out.get(m, f.zero), f.mul(c1, c2))
                 if s == f.zero:
                     out.pop(m, None)
                 else:
                     out[m] = s
-        return Poly(f, self.nvars, out, _clean=True)
+        return Poly.from_packed(f, self.nvars, out)
 
     def scale(self, c):
         f = self.field
         if c == f.zero:
             return Poly.zero(f, self.nvars)
-        return Poly(f, self.nvars,
-                    {m: f.mul(c, v) for m, v in self.terms.items()},
-                    _clean=True)
+        return Poly.from_packed(
+            f, self.nvars, {m: f.mul(c, v) for m, v in self.packed.items()})
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.nvars == other.nvars
-                and self.field == other.field and self.terms == other.terms)
+                and self.field == other.field and self.packed == other.packed)
 
     def __repr__(self):
-        if not self.terms:
+        if not self.packed:
             return "Poly(0)"
         bits = []
         for m, c in self.sorted_terms():
@@ -218,10 +374,11 @@ class Poly:
         if len(point) != self.nvars:
             raise ValueError("point has wrong dimension")
         f = self.field
+        unpack = _packing(self.nvars).unpack
         total = f.zero
-        for m, c in self.terms.items():
+        for m, c in self.packed.items():
             v = c
-            for x, e in zip(point, m):
+            for x, e in zip(point, unpack(m)):
                 if e:
                     v = f.mul(v, f.pow(x, e))
             total = f.add(total, v)
@@ -230,21 +387,21 @@ class Poly:
     def derivative(self, var: int):
         """Formal partial derivative; exponents reduce mod p as scalars."""
         f = self.field
+        shift = var * _WIDTH
+        # one off x_var and one off the degree: distinct terms stay
+        # distinct, and a nonzero coefficient times a nonzero scalar is
+        # nonzero
+        step = (1 << shift) + (1 << (self.nvars * _WIDTH))
         out = {}
-        for m, c in self.terms.items():
-            e = m[var]
+        for m, c in self.packed.items():
+            e = (m >> shift) & _FIELD
             if e == 0:
                 continue
             scalar = f.from_int(e)
             if scalar == f.zero:
                 continue
-            m2 = m[:var] + (e - 1,) + m[var + 1:]
-            s = f.add(out.get(m2, f.zero), f.mul(c, scalar))
-            if s == f.zero:
-                out.pop(m2, None)
-            else:
-                out[m2] = s
-        return Poly(f, self.nvars, out, _clean=True)
+            out[m - step] = f.mul(c, scalar)
+        return Poly.from_packed(f, self.nvars, out)
 
     # homogenization (cap-relative: a degree-drop polynomial is raised to
     # the declared cap, every term acquiring positive X_0 power)
@@ -252,31 +409,35 @@ class Poly:
     def homogenize(self, cap: int):
         if self.degree() > cap:
             raise ValueError(f"degree {self.degree()} exceeds cap {cap}")
-        out = {m + (cap - sum(m),): c for m, c in self.terms.items()}
-        return Poly(self.field, self.nvars + 1, out, _clean=True)
+        append = _packing(self.nvars).append
+        bits = self.nvars * _WIDTH
+        out = {append(m, cap - (m >> bits)): c
+               for m, c in self.packed.items()}
+        return Poly.from_packed(self.field, self.nvars + 1, out)
 
     def substitute_last(self, value):
         """Substitute the last variable by a constant and drop it."""
         f = self.field
+        split_last = _packing(self.nvars).split_last
         out = {}
-        for m, c in self.terms.items():
-            e = m[-1]
+        for m, c in self.packed.items():
+            m2, e = split_last(m)
             coeff = c if e == 0 else f.mul(c, f.pow(value, e))
-            m2 = m[:-1]
             s = f.add(out.get(m2, f.zero), coeff)
             if s == f.zero:
                 out.pop(m2, None)
             else:
                 out[m2] = s
-        return Poly(f, self.nvars - 1, out, _clean=True)
+        return Poly.from_packed(f, self.nvars - 1, out)
 
     def dehomogenize(self):
         return self.substitute_last(self.field.one)
 
     def initial_form(self, cap: int):
         """Degree-``cap`` homogeneous component (zero if degree < cap)."""
-        out = {m: c for m, c in self.terms.items() if sum(m) == cap}
-        return Poly(self.field, self.nvars, out, _clean=True)
+        bits = self.nvars * _WIDTH
+        out = {m: c for m, c in self.packed.items() if m >> bits == cap}
+        return Poly.from_packed(self.field, self.nvars, out)
 
     # serialization
 
@@ -435,4 +596,4 @@ def embed_poly(poly: Poly, big_field: Field) -> Poly:
     A base-field element is the extension's constant of the same int
     (see ``fields``), so the terms carry over unchanged.
     """
-    return Poly(big_field, poly.nvars, poly.terms, _clean=True)
+    return Poly.from_packed(big_field, poly.nvars, poly.packed)

@@ -146,8 +146,7 @@ def _linear_change(poly: Poly, matrix, field: Field) -> Poly:
     n = poly.nvars
     images = [Poly(field, n,
                    {tuple(1 if t == m else 0 for t in range(n)): matrix[j][m]
-                    for m in range(n) if matrix[j][m] != field.zero},
-                   _clean=True)
+                    for m in range(n) if matrix[j][m] != field.zero})
               for j in range(n)]
     powers = [{0: Poly.constant(field, n, field.one)} for _ in range(n)]
 

@@ -1,7 +1,9 @@
 import hashlib
+import importlib
 import json
 import pickle
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -9,7 +11,7 @@ from defectus import (
     CERTIFIED_IRREDUCIBLE, CERTIFIED_REDUCIBLE, BoundInputs, Poly,
     PolySystem, classify, colon_ideal, fiber_dimension, field_make,
     find_reducibility_witness, groebner, ideal_dimension,
-    initial_form_criterion, is_regular_sequence,
+    initial_form_criterion, is_regular_sequence, jacobian_minors,
     kollar_dimension_test, matrix_rank, minor_combo_fiber_test,
     normal_form, prime_power_decompose, projective_dimension, sample_system,
     system_from_census_index,
@@ -356,6 +358,54 @@ def test_classify_json_fields(f7):
         "irreducibility", "in_B1", "in_B2_lower", "in_B2_upper",
     }
     assert set(blob) == expected_keys
+
+
+@pytest.mark.parametrize("q,r,d", [
+    (101, 3, (2, 2)), (4, 3, (2, 2)), (3, 3, (2, 1)), (9, 3, (2, 2)),
+    (2, 3, (2, 1)), (101, 4, (2, 2)), (3, 4, (2, 1, 1)),
+])
+def test_dehomogenized_minors_are_the_affine_minors(q, r, d):
+    # the homogenized minors whose columns exclude X_0 (the last
+    # index), at X_0 = 1, equal the affine minors term for term and in
+    # column order; degree drops included
+    field = field_make(*prime_power_decompose(q))
+    inputs = BoundInputs(r, len(d), q, d)
+    s = len(d)
+    systems = []
+    for i in range(20):
+        system = sample_system(inputs, field, HashStream("dehom", q, r, i))
+        # the same draw with the top form of F_1 removed: a degree drop
+        f1 = system.polys[0]
+        dropped = (f1 - f1.initial_form(d[0]),) + system.polys[1:]
+        systems += [system, PolySystem(field, r, s, d, dropped)]
+    for system in systems:
+        homog = jacobian_minors(system.homogenized())
+        got = [m.dehomogenize()
+               for m, cols in zip(homog, combinations(range(r + 1), s))
+               if r not in cols]
+        want = jacobian_minors(list(system.polys))
+        assert [g.sorted_terms() for g in got] == \
+            [w.sorted_terms() for w in want]
+
+
+def test_classify_builds_one_jacobian_per_system(monkeypatch, f2):
+    clmod = importlib.import_module("defectus.classify")
+    calls = []
+    minors = clmod.jacobian_minors
+
+    def counted(polys):
+        calls.append(len(polys))
+        return minors(polys)
+
+    monkeypatch.setattr(clmod, "jacobian_minors", counted)
+    inputs = BoundInputs(3, 2, 2, (2, 1))
+    systems = [system_from_census_index(inputs, f2, i)
+               for i in range(0, 16384, 97)]
+    regular = 0
+    for n, system in enumerate(systems, start=1):
+        regular += clmod.classify(system).regular_sequence
+        assert len(calls) == n
+    assert regular  # the rank-defect stage ran on some of them
 
 
 def test_report_pickles_unchanged(f7):

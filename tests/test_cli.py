@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+from defectus import BoundInputs, derive
 from defectus.cli import main
 
 
@@ -137,3 +139,56 @@ def test_selftest(capsys):
     assert code == 0
     assert all(line.startswith("ok - ")
                for line in out.strip().splitlines())
+
+
+def test_census_refusal_names_the_size_as_a_power(capsys):
+    # q^dimF has 7431 digits here: the refusal compares exponents and
+    # never formats the number itself
+    code, out, err = _run(capsys, "census", "--q", "2", "--r", "3",
+                          "--s", "2", "--d", "40,40", "--threads", "1")
+    assert code == 3 and out == ""
+    assert err.startswith("budget:") and err.count("\n") == 1
+    assert "2^24682" in err
+
+
+def test_bounds_prints_exact_counts_whole(capsys):
+    code, out, err = _run(capsys, "bounds", "--q", "2", "--r", "3",
+                          "--s", "2", "--d", "40,40")
+    assert code == 0 and not err
+    expected = derive(BoundInputs(3, 2, 2, (40, 40)))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        blob = json.loads(out)
+        assert len(str(blob["count_B1"])) > limit
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert blob["count_B1"] == expected.count_B1
+    assert blob["count_B2"] == expected.count_B2
+
+
+def _system_file(tmp_path, exps):
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"polys": [
+        {"nvars": 3, "terms": [{"exp": e, "c": 1}]} for e in exps]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("exps,caps", [
+    ([[32768, 0, 0], [0, 1, 0]], "32768,1"),  # the exponent itself
+    ([[1, 0, 0], [0, 1, 0]], "40000,1"),      # homogenization past it
+])
+def test_classify_packing_limit_is_a_validation_error(tmp_path, capsys,
+                                                      exps, caps):
+    code, out, err = _run(capsys, "classify", "--q", "7", "--r", "3",
+                          "--s", "2", "--d", caps,
+                          "--system", _system_file(tmp_path, exps))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "packing limit" in err
+
+
+def test_threads_below_one_is_a_validation_error(capsys):
+    code, _, err = _run(capsys, "sample", "--q", "7", "--r", "3", "--s", "2",
+                        "--d", "2,2", "--n", "3", "--threads", "0")
+    assert code == 2 and err.startswith("error:")

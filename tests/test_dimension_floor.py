@@ -26,6 +26,7 @@ from conftest import random_poly
 
 gbmod = importlib.import_module("defectus.groebner")
 clmod = importlib.import_module("defectus.classify")
+polymod = importlib.import_module("defectus.polynomials")
 
 _CENSUS = BoundInputs(3, 2, 2, (2, 1))
 
@@ -40,13 +41,13 @@ def stops(monkeypatch):
     fired = []
     engine = gbmod._buchberger
 
-    def watched(seed, field, pk, stop=None):
+    def watched(seed, field, pk, key, stop=None):
         def wrapped(var):
             hit = stop(var)
             if hit:
                 fired.append(var)
             return hit
-        return engine(seed, field, pk, stop and wrapped)
+        return engine(seed, field, pk, key, stop and wrapped)
 
     monkeypatch.setattr(gbmod, "_buchberger", watched)
     return fired
@@ -136,17 +137,17 @@ def _hook_cases():
 
 def test_hook_fires_only_on_pure_powers():
     for field, n, gens in _hook_cases():
-        pk = gbmod._packing(n, GREVLEX)
-        seed = [pk.pack_terms(g.terms) for g in gens]
+        pk, key = polymod._packing(n), GREVLEX.packed(n)
+        seed = [{pk.pack(m): c for m, c in g.terms.items()} for g in gens]
         calls = []
 
         def record(var):
             calls.append(var)
             return False
 
-        full = gbmod._buchberger(seed, field, pk, record)
+        full = gbmod._buchberger(seed, field, pk, key, record)
         # without a stop the run is the run without a callback
-        plain = gbmod._buchberger(seed, field, pk)
+        plain = gbmod._buchberger(seed, field, pk, key)
         assert [r[0] for r in full] == [r[0] for r in plain]
         pure = []
         for rec in full:
@@ -159,10 +160,10 @@ def test_hook_fires_only_on_pure_powers():
 def test_stop_returns_partial_basis_inside_the_ideal():
     stopped = 0
     for field, n, gens in _hook_cases():
-        pk = gbmod._packing(n, GREVLEX)
-        seed = [pk.pack_terms(g.terms) for g in gens]
-        plain = gbmod._buchberger(seed, field, pk)
-        partial = gbmod._buchberger(seed, field, pk,
+        pk, key = polymod._packing(n), GREVLEX.packed(n)
+        seed = [{pk.pack(m): c for m, c in g.terms.items()} for g in gens]
+        plain = gbmod._buchberger(seed, field, pk, key)
+        partial = gbmod._buchberger(seed, field, pk, key,
                                     lambda var: True)
         # the stop fires at the first pure power, which ends the basis
         assert partial == plain[:len(partial)]
@@ -171,7 +172,7 @@ def test_stop_returns_partial_basis_inside_the_ideal():
         stopped += len(partial) < len(plain)
         gb = groebner(gens)
         for terms, _, _ in partial:
-            poly = Poly(field, n, pk.unpack_terms(terms))
+            poly = Poly(field, n, {pk.unpack(m): c for m, c in terms.items()})
             assert normal_form(poly, gb).is_zero()
     assert stopped
 

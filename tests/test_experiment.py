@@ -174,6 +174,55 @@ def test_census_budget_refusal(monkeypatch):
         run_census(config)
 
 
+@pytest.mark.parametrize("budget,refused", [("255", True), ("256", False)])
+def test_census_budget_boundary(monkeypatch, budget, refused):
+    # 2^8 systems: the exponent comparison refuses exactly above 256
+    monkeypatch.setenv("DEFECTUS_BUDGET", budget)
+    config = ExperimentConfig(inputs=BoundInputs(3, 2, 2, (1, 1)),
+                              mode="census")
+    if refused:
+        with pytest.raises(BudgetExceeded, match=r"census needs 2\^8 ") as exc:
+            run_census(config)
+        assert exc.value.required == 256
+    else:
+        assert run_census(config)[0].counts.n == 256
+
+
+def test_threads_below_one_rejected():
+    with pytest.raises(ValueError, match="threads"):
+        _mc_config(7, (2, 2), 3, threads=0)
+
+
+def test_pool_is_capped_at_the_chunk_count(monkeypatch):
+    # 64 threads, 3 samples: 3 chunks, so 3 workers are asked for; the
+    # fake pool maps in this process and starts none
+    import multiprocessing
+
+    requested = []
+
+    class FakePool:
+        def __init__(self, processes):
+            requested.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [fn(j) for j in jobs]
+
+    class FakeContext:
+        Pool = FakePool
+
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: FakeContext())
+    report = run_monte_carlo(_mc_config(7, (2, 2), 3, threads=64))
+    assert requested == [3]
+    assert report.counts.n == 3
+
+
 def test_cp_closed_forms():
     # x = 0: the one-sided upper bound is 1 - alpha^(1/n) exactly
     for n, conf in ((20000, 0.99), (500, 0.95), (50, 0.99)):

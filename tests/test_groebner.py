@@ -15,6 +15,7 @@ from conftest import random_poly
 
 # the package attribute defectus.groebner is the function, not the module
 gbmod = importlib.import_module("defectus.groebner")
+polymod = importlib.import_module("defectus.polynomials")
 
 
 def _vars(field, n=3):
@@ -239,11 +240,11 @@ def test_inverted_key_reverses_order(order, nvars):
     # the heaps push -key(m) on packed monomials: -key(a) < -key(b)
     # must hold exactly when b < a in the order
     mons = monomials_upto(nvars, 4)
-    pk = gbmod._packing(nvars, order)
+    pk, key = polymod._packing(nvars), order.packed(nvars)
     packed = {m: pk.pack(m) for m in mons}
     assert len({order.key(m) for m in mons}) == len(mons)
-    assert len({-pk.key(packed[m]) for m in mons}) == len(mons)
-    assert sorted(mons, key=lambda m: -pk.key(packed[m])) == \
+    assert len({-key(packed[m]) for m in mons}) == len(mons)
+    assert sorted(mons, key=lambda m: -key(packed[m])) == \
         sorted(mons, key=order.key, reverse=True)
 
 
@@ -252,12 +253,12 @@ def test_packed_monomials_match_tuples(nvars):
     # every monomial of degree <= 4: the round trip, both order keys,
     # and product, quotient, divisibility and lcm on all pairs
     mons = monomials_upto(nvars, 4)
-    pk = gbmod._packing(nvars, GREVLEX)
+    pk = polymod._packing(nvars)
     packed = [pk.pack(m) for m in mons]
     assert [pk.unpack(m) for m in packed] == mons
     assert len(set(packed)) == len(mons)
     for order in (GREVLEX, ELIM_LAST):
-        key = gbmod._packing(nvars, order).key
+        key = order.packed(nvars)
         keys = [key(m) for m in packed]
         assert all(isinstance(k, int) for k in keys)
         assert len(set(keys)) == len(mons)
@@ -276,22 +277,22 @@ def test_packed_monomials_match_tuples(nvars):
 
 
 def test_packing_limit_raises(f7):
-    limit = gbmod._LIMIT
-    pk = gbmod._packing(4, GREVLEX)
+    limit = polymod._LIMIT
+    pk = polymod._packing(4)
     top = (limit - 1, 0, 0, 0)
     assert pk.unpack(pk.pack(top)) == top
     for e in [(limit, 0, 0, 0), (0, 0, 0, limit),
               (limit // 2, 0, limit // 2, 0)]:
         with pytest.raises(ValueError, match="packing limit"):
             pk.pack(e)
-    big = Poly(f7, 2, {(limit, 0): 1})
+    # the limit fires when the polynomial is built
     with pytest.raises(ValueError, match="packing limit"):
-        groebner([big])
+        groebner([Poly(f7, 2, {(limit, 0): 1})])
     x = Poly(f7, 2, {(1, 0): 1})
     with pytest.raises(ValueError, match="packing limit"):
-        normal_form(big, groebner([x]))
+        normal_form(Poly(f7, 2, {(limit, 0): 1}), groebner([x]))
     with pytest.raises(ValueError, match="packing limit"):
-        colon_ideal(groebner([x]), big)
+        colon_ideal(groebner([x]), Poly(f7, 2, {(limit, 0): 1}))
 
 
 def test_packing_overflow_in_computation_raises(f7):
@@ -330,12 +331,14 @@ def test_engine_matches_scan_reference(p, k):
     for gens, probe in cases:
         seeds = [dict(g.terms) for g in gens]
         for order in (GREVLEX, ELIM_LAST):
-            pk = gbmod._packing(3, order)
-            raw = gbmod._buchberger([pk.pack_terms(t) for t in seeds],
-                                    field, pk)
+            pk, key = polymod._packing(3), order.packed(3)
+            raw = gbmod._buchberger(
+                [{pk.pack(m): c for m, c in t.items()} for t in seeds],
+                field, pk, key)
             ref_raw = reference_groebner.buchberger_scan(seeds, field,
                                                          order.key)
-            assert [items(pk.unpack_terms(t)) for t, _, _ in raw] == \
+            assert [[(pk.unpack(m), c) for m, c in t.items()]
+                    for t, _, _ in raw] == \
                 [items(t) for t, _, _ in ref_raw]
             gb = groebner(gens, order)
             ref_gb = reference_groebner.reduce_basis(ref_raw, field,

@@ -215,3 +215,23 @@ def test_system_json_flag_consistency(f7):
         PolySystem.from_json_dict(f7, blob, r=4)
     with pytest.raises(ValueError):
         PolySystem.from_json_dict(f7, blob, caps=(2, 2))
+
+
+def test_packing_limit_at_build_product_and_homogenize(f7):
+    limit = 2 ** 15
+    for exps in [(limit, 0), (0, limit), (limit // 2, limit // 2)]:
+        with pytest.raises(ValueError, match="packing limit"):
+            Poly(f7, 2, {exps: 1})
+    top = Poly(f7, 2, {(limit - 1, 0): 1})          # fits exactly
+    assert top.terms == {(limit - 1, 0): 1}
+    assert top.degree() == limit - 1
+    x = Poly.variable(f7, 2, 1)
+    with pytest.raises(ValueError, match="packing limit"):
+        top * x                                      # degree 2^15
+    half = Poly(f7, 2, {(limit // 2, 0): 1})
+    with pytest.raises(ValueError, match="packing limit"):
+        half * half                                  # exponent 2^15
+    assert (top * Poly.constant(f7, 2, 3)).degree() == limit - 1
+    with pytest.raises(ValueError, match="packing limit"):
+        x.homogenize(limit)                          # X_0 degree 2^15
+    assert x.homogenize(limit - 1).degree() == limit - 1
