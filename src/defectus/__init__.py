@@ -3,6 +3,10 @@
 Exact classification (complete-intersection and irreducibility
 defects), Macaulay resultants, closed-form bound evaluation, and a
 seeded census / Monte Carlo harness that verifies the bounds.
+
+The package re-exports neither ``classify`` nor ``groebner``, so
+``defectus.classify`` and ``defectus.groebner`` are the modules; import
+those two functions from them.
 """
 
 from .bounds import (
@@ -11,7 +15,7 @@ from .bounds import (
 )
 from .classify import (
     CERTIFIED_IRREDUCIBLE, CERTIFIED_REDUCIBLE, UNDETERMINED,
-    ClassificationReport, classify, fiber_dimension,
+    ClassificationReport, fiber_dimension,
     find_reducibility_witness, initial_form_criterion, is_regular_sequence,
     kollar_dimension_test, minor_combo_fiber_test,
 )
@@ -25,8 +29,8 @@ from .fields import (
     field_make, is_prime, prime_power_decompose,
 )
 from .groebner import (
-    GREVLEX, GroebnerBasis, MonomialOrder, colon_ideal, groebner,
-    ideal_dimension, normal_form, projective_dimension,
+    GroebnerBasis, colon_ideal, ideal_dimension, normal_form,
+    projective_dimension,
 )
 from .polynomials import (
     NEG_INF, Poly, PolySystem, embed_poly, jacobian, jacobian_minors,

@@ -15,7 +15,10 @@ plus the per-generator degree constants
 
 and the point-count bound |V(F_q)| <= deg(V) * q^dim(V).  These blow up
 or shrink past any float range, so the report holds big ints and exact
-fractions; floats appear only in rendered decimal strings.
+fractions; floats appear only in rendered decimal strings.  Their size
+is bounded: a shape whose q^dimF passes 2^BOUND_BITS is refused before
+any power is formed, because printing an int of n bits whole takes
+time quadratic in n.
 """
 
 from __future__ import annotations
@@ -30,18 +33,22 @@ from .fields import Field, extension_of, prime_power_decompose
 from .polynomials import PolySystem, embed_poly
 
 BUDGET_DEFAULT = 1 << 20
+# q^dimF of 2^20 bits: the worst accepted ``bounds`` prints in ~3 s
+# (2 vCPUs, CPython 3.11); q=2, r=6, d=(40,40) ran past 200 s unbounded
+BOUND_BITS = 1 << 20
 
 
 class BudgetExceeded(RuntimeError):
-    """An enumeration of base^exponent items would exceed the budget.
+    """Work of base^exponent items would exceed the budget.
 
     The message names the size as a power, so a refusal never formats
-    an integer of thousands of digits.
+    an integer of thousands of digits; ``budget`` is shown as given.
     """
 
-    def __init__(self, base: int, exponent: int, budget: int, what: str):
+    def __init__(self, base: int, exponent: int, budget, what: str,
+                 unit: str = "evaluations"):
         super().__init__(
-            f"{what} needs {base}^{exponent} evaluations, budget is {budget}")
+            f"{what} needs {base}^{exponent} {unit}, budget is {budget}")
         self.base = base
         self.exponent = exponent
         self.budget = budget
@@ -140,14 +147,27 @@ class BoundReport:
         }
 
 
+def check_bound_bits(inputs: BoundInputs) -> None:
+    """Refuse (BudgetExceeded) a shape whose q^dimF passes 2^BOUND_BITS.
+
+    Compares dimF * log2(q) with the budget, so no power is formed.
+    """
+    if inputs.dim_f * math.log2(inputs.q) > BOUND_BITS:
+        raise BudgetExceeded(inputs.q, inputs.dim_f, f"2^{BOUND_BITS}",
+                             "the bound report", "systems")
+
+
 def derive(inputs: BoundInputs) -> BoundReport:
     """Evaluate every bound quantity exactly.
 
     Structural fields (delta, sigma, dimF, minor count) are always
     produced; the count/probability bounds require every d_i >= 2 and
     are marked inapplicable otherwise.  ``vacuous_*`` flags a
-    probability bound >= 1, which small q makes common.
+    probability bound >= 1, which small q makes common.  Refuses
+    (``check_bound_bits``) a shape whose exact counts are too long to
+    print.
     """
+    check_bound_bits(inputs)
     r, s, q, d = inputs.r, inputs.s, inputs.q, inputs.d
     delta = math.prod(d)
     sigma = sum(d) - s

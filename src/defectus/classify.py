@@ -54,14 +54,14 @@ from typing import Optional
 
 from .fields import MIN_RANDOMIZED_FIELD, ensure_min_size
 from .groebner import (
-    GREVLEX, groebner, normal_form, projective_dimension,
+    groebner, normal_form, projective_dimension,
     _cone_to_projective, _dimension_floor, _exact_divide,
 )
 # not called here: bench/tracing.py wraps it; --trace 1 stops without it
 from .groebner import colon_ideal  # noqa: F401
 from .polynomials import (
-    Poly, PolySystem, _packing, canonical_digest, embed_poly,
-    jacobian_minors, packed_monomials,
+    Poly, PolySystem, _grevlex_packed, _packing, canonical_digest,
+    embed_poly, jacobian_minors, packed_monomials,
 )
 from .rng import HashStream
 
@@ -195,7 +195,7 @@ def find_reducibility_witness(system: PolySystem):
     """
     field, r, q = system.field, system.r, system.field.q
     gb = None
-    pk, key = _packing(r), GREVLEX.packed(r)
+    pk, key = _packing(r), _grevlex_packed(r)
     for i, f in enumerate(system.polys, start=1):
         if f.is_zero() or f.degree() < 2:
             continue
@@ -217,7 +217,7 @@ def find_reducibility_witness(system: PolySystem):
                 if lead not in top:
                     continue  # degree below gdeg
                 if terms[lead] != field.one:
-                    continue  # divisors only matter up to scalar
+                    continue  # up to scalar; _exact_divide needs it monic
                 try:
                     quot = _exact_divide(f.packed, terms, field, pk, key)
                 except ArithmeticError:

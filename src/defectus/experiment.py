@@ -24,8 +24,8 @@ from fractions import Fraction
 from functools import cache
 
 from .bounds import (
-    BoundInputs, BoundReport, BudgetExceeded, derive, enumeration_budget,
-    fraction_json, max_exponent,
+    BoundInputs, BoundReport, BudgetExceeded, check_bound_bits, derive,
+    enumeration_budget, fraction_json, max_exponent,
 )
 from .classify import (
     CERTIFIED_IRREDUCIBLE, CERTIFIED_REDUCIBLE, ClassificationReport,
@@ -408,7 +408,12 @@ def _assemble(config: ExperimentConfig, counts: OutcomeCounts,
 
 
 def _run(config: ExperimentConfig, total: int, want_rows: bool):
-    """Classify indices [0, total) in chunks; (report, rows or None)."""
+    """Classify indices [0, total) in chunks; (report, rows or None).
+
+    Refuses first, with ``derive``'s check, a shape whose bound report
+    would be too long to form, so no system is classified for nothing.
+    """
+    check_bound_bits(config.inputs)
     t0 = time.time()
     jobs = [(config, a, b, want_rows)
             for a, b in _ranges(total, config.threads * 4)]

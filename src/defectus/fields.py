@@ -309,10 +309,6 @@ class ExtensionField(Field):
     def from_int(self, n: int):
         return n % self.p
 
-    def embed(self, b):
-        """Image of a base-field element: the constant with the same int."""
-        return b
-
     def element_from_index(self, i: int):
         if not 0 <= i < self.q:
             raise ValueError("index out of range")

@@ -1,14 +1,25 @@
-"""Reduced Groebner bases and exact ideal decisions.
+"""Reduced Groebner bases and exact ideal decisions, under grevlex.
 
 Buchberger with the normal selection strategy and both classical pair
 criteria.  Each S-pair is ranked once, when it is formed, by the order
 key of its lcm and then by its indices, and waits in a heap; ranks are
 distinct, so the pop order is the order of a full scan for the
 smallest rank.  Normal forms take their leading monomials from a heap
-keyed by the negated order key.  The public order is grevlex with the
-last variable cheapest (that is where homogenization puts X_0); a block
-order eliminating an auxiliary last variable is used internally for
-colon ideals.
+keyed by the negated order key.  The one public order is grevlex with
+the last variable cheapest (that is where homogenization puts X_0):
+``groebner``, ``normal_form``, ``ideal_dimension`` and the floored
+dimension all run on ``polynomials._grevlex_packed``.  The engine
+functions take the order as an int key next to the packing only so
+that ``colon_ideal`` can run them under its private block order, which
+eliminates an auxiliary last variable (``_elim_last_packed``).
+
+Records are monic (Cox, Little & O'Shea, *Ideals, Varieties, and
+Algorithms*, ch. 2).  A term map joins a basis as ``(terms, lm)``,
+scaled by one inverse unless its leading coefficient is already one.
+The S-polynomial of two records is then the difference of the shifted
+records, a reduction step multiplies by the coefficient it cancels,
+and inter-reduction keeps every leading coefficient one, so none of
+them inverts anything and the reduced basis needs no monic pass.
 
 The engine works on the packed term maps ``Poly.packed`` directly
 (Monagan & Pearce, CASC 2007; the layout, its order keys and the
@@ -49,56 +60,22 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .fields import Field
 from .polynomials import (
     Poly, _elim_last_packed, _grevlex_packed, _overflow, _packing,
-    grevlex_key,
 )
 
 
-class MonomialOrder:
-    """A term order: a sort key on exponent tuples and one on packed ints.
-
-    ``key(a) < key(b)`` iff a is smaller than b; ``packed(nvars)`` is the
-    same order as an int key on monomials packed in ``nvars`` variables.
-    """
-
-    __slots__ = ("kind", "key", "packed")
-
-    def __init__(self, kind: str, key: Callable, packed: Callable):
-        self.kind = kind
-        self.key = key
-        self.packed = packed
-
-    def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and self.kind == other.kind
-
-    def __hash__(self):
-        return hash(self.kind)
-
-    def __repr__(self):
-        return f"MonomialOrder({self.kind})"
-
-
-GREVLEX = MonomialOrder("grevlex", grevlex_key, _grevlex_packed)
-
-# t (the last variable) dominates, grevlex on the rest: eliminates t.
-ELIM_LAST = MonomialOrder(
-    "elim_last", lambda e: (e[-1], grevlex_key(e[:-1])), _elim_last_packed)
-
-
 class GroebnerBasis:
-    """Reduced basis: monic, pairwise irreducible, canonically sorted."""
+    """Reduced grevlex basis: monic, pairwise irreducible, sorted."""
 
-    __slots__ = ("field", "nvars", "order", "gens")
+    __slots__ = ("field", "nvars", "gens")
 
-    def __init__(self, field: Field, nvars: int, order: MonomialOrder,
-                 gens: tuple):
+    def __init__(self, field: Field, nvars: int, gens: tuple):
         self.field = field
         self.nvars = nvars
-        self.order = order
         self.gens = gens
 
     @property
@@ -107,23 +84,27 @@ class GroebnerBasis:
 
     def __eq__(self, other):
         return (isinstance(other, GroebnerBasis)
-                and self.order == other.order
                 and self.nvars == other.nvars
                 and self.field == other.field
                 and list(self.gens) == list(other.gens))
 
     def __repr__(self):
-        return f"GroebnerBasis({len(self.gens)} gens, {self.order.kind})"
+        return f"GroebnerBasis({len(self.gens)} gens)"
 
 
 # -- packed engine -------------------------------------------------------
-# A basis record is (terms_dict, leading_monomial, leading_coefficient),
-# every monomial packed.  ``pk`` is the packing of the ring, ``key`` the
-# order's int key on it.
+# A basis record is (terms_dict, leading_monomial), monic, every monomial
+# packed.  ``pk`` is the packing of the ring, ``key`` the order's int key
+# on it: grevlex, or the elimination key inside colon_ideal.
 
-def _record(terms, key):
+def _record(terms, field, key):
+    """The monic record of a nonzero term map; ``terms`` is not mutated."""
     lm = max(terms, key=key)
-    return (terms, lm, terms[lm])
+    lc = terms[lm]
+    if lc != field.one:
+        inv, mul = field.inv(lc), field.mul
+        terms = {m: mul(inv, c) for m, c in terms.items()}
+    return terms, lm
 
 
 def _normal_form(terms, records, field, pk, key):
@@ -154,8 +135,7 @@ def _normal_form(terms, records, field, pk, key):
         if hit is None:
             rem[lm] = c
             continue
-        gterms, glm, glc = hit
-        factor = field.mul(c, field.inv(glc))
+        gterms, glm = hit
         shift = lm - glm
         for gm, gc in gterms.items():
             if gm == glm:
@@ -164,7 +144,7 @@ def _normal_form(terms, records, field, pk, key):
             if m2 & guard:
                 _overflow()
             old = work.get(m2)
-            v = field.sub(zero if old is None else old, field.mul(factor, gc))
+            v = field.sub(zero if old is None else old, field.mul(c, gc))
             if v == zero:
                 work.pop(m2, None)
             else:
@@ -176,21 +156,20 @@ def _normal_form(terms, records, field, pk, key):
 
 def _s_poly(rec_i, rec_j, lcm, field, guard):
     zero = field.zero
-    ti, lmi, lci = rec_i
-    tj, lmj, lcj = rec_j
+    ti, lmi = rec_i
+    tj, lmj = rec_j
     si, sj = lcm - lmi, lcm - lmj
-    ci, cj = field.inv(lci), field.inv(lcj)
     out = {}
     for m, c in ti.items():
         m2 = m + si
         if m2 & guard:
             _overflow()
-        out[m2] = field.mul(ci, c)
+        out[m2] = c
     for m, c in tj.items():
         m2 = m + sj
         if m2 & guard:
             _overflow()
-        v = field.sub(out.get(m2, zero), field.mul(cj, c))
+        v = field.sub(out.get(m2, zero), c)
         if v == zero:
             out.pop(m2, None)
         else:
@@ -199,7 +178,7 @@ def _s_poly(rec_i, rec_j, lcm, field, guard):
 
 
 def _buchberger(seed_terms, field, pk, key, stop=None):
-    """Unreduced basis of the seeds' ideal, as a list of records.
+    """Unreduced basis of the seeds' ideal, as a list of monic records.
 
     ``stop(var)`` is called right after a record whose leading
     monomial is 1 (var -1) or a pure power of x_var joins the basis;
@@ -211,7 +190,7 @@ def _buchberger(seed_terms, field, pk, key, stop=None):
     pending = set()  # the (i, j) in queue, for the chain criterion
 
     def add_record(terms):
-        rec = _record(terms, key)
+        rec = _record(terms, field, key)
         new = len(basis)
         for t in range(new):
             lcm = lcm_of(basis[t][1], rec[1])
@@ -250,11 +229,14 @@ def _buchberger(seed_terms, field, pk, key, stop=None):
 
 
 def _reduce_basis(basis, field, pk, key):
-    """Unique reduced form: minimal, inter-reduced, monic, sorted."""
+    """Unique reduced form: minimal, inter-reduced, largest lead first.
+
+    The records are monic, and inter-reduction keeps each leading term,
+    so the result is monic as well.
+    """
     guard = pk.guard
-    recs = sorted(basis, key=lambda r: key(r[1]))
     kept = []
-    for rec in recs:
+    for rec in sorted(basis, key=lambda r: key(r[1])):
         probe = rec[1] + guard
         if not any((probe - k[1]) & guard == guard for k in kept):
             kept.append(rec)
@@ -265,25 +247,21 @@ def _reduce_basis(basis, field, pk, key):
             others = kept[:idx] + kept[idx + 1:]
             rem = _normal_form(kept[idx][0], others, field, pk, key)
             if rem != kept[idx][0]:
-                kept[idx] = _record(rem, key)
+                kept[idx] = (rem, kept[idx][1])
                 changed = True
-    out = []
-    for terms, lm, lc in kept:
-        inv = field.inv(lc)
-        out.append(({m: field.mul(inv, c) for m, c in terms.items()}, lm))
-    out.sort(key=lambda t: key(t[1]), reverse=True)
-    return out
+    kept.reverse()
+    return kept
 
 
 # -- public operations ---------------------------------------------------
 
-def groebner(gens: Sequence[Poly], order: MonomialOrder = GREVLEX,
-             field: Field = None, nvars: int = None) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal the generators span.
+def groebner(gens: Sequence[Poly], field: Field = None,
+             nvars: int = None) -> GroebnerBasis:
+    """Reduced grevlex Groebner basis of the ideal the generators span.
 
     Deterministic: the same generator list always produces the same
-    basis object, and the reduced basis itself is unique for the ideal
-    and order.  Zero generators are ignored; an empty ideal needs
+    basis object, and the reduced basis itself is unique for the
+    ideal.  Zero generators are ignored; an empty ideal needs
     explicit ``field``/``nvars``.
     """
     gens = list(gens)
@@ -295,25 +273,25 @@ def groebner(gens: Sequence[Poly], order: MonomialOrder = GREVLEX,
                 raise ValueError("generators live in different rings")
     elif field is None or nvars is None:
         raise ValueError("empty generator list needs field and nvars")
-    pk, key = _packing(nvars), order.packed(nvars)
+    pk, key = _packing(nvars), _grevlex_packed(nvars)
     basis = _buchberger([g.packed for g in gens if g.packed], field, pk, key)
     polys = tuple(Poly.from_packed(field, nvars, t)
                   for t, _ in _reduce_basis(basis, field, pk, key))
-    return GroebnerBasis(field, nvars, order, polys)
+    return GroebnerBasis(field, nvars, polys)
 
 
 def normal_form(f: Poly, gb: GroebnerBasis) -> Poly:
     """Remainder of multivariate division; zero iff f lies in the ideal."""
     if f.nvars != gb.nvars or f.field != gb.field:
         raise ValueError("polynomial not in the basis ring")
-    pk, key = _packing(gb.nvars), gb.order.packed(gb.nvars)
-    records = [_record(g.packed, key) for g in gb.gens]
+    pk, key = _packing(gb.nvars), _grevlex_packed(gb.nvars)
+    records = [_record(g.packed, gb.field, key) for g in gb.gens]
     rem = _normal_form(f.packed, records, gb.field, pk, key)
     return Poly.from_packed(gb.field, gb.nvars, rem)
 
 
 def _exact_divide(num, div, field, pk, key):
-    """Quotient of an exact division of packed term maps.
+    """Quotient of an exact division of packed term maps by a monic one.
 
     ``pk`` is the packing, ``key`` the order; raises ArithmeticError if
     the division is inexact.  The smallest monomial of a product is the
@@ -325,8 +303,7 @@ def _exact_divide(num, div, field, pk, key):
                 - min(div, key=key)) & guard != guard:
         raise ArithmeticError("inexact division")
     dlm = max(div, key=key)
-    dinv = field.inv(div[dlm])
-    zero, one = field.zero, field.one
+    zero = field.zero
     work = dict(num)
     quot = {}
     while work:
@@ -335,15 +312,14 @@ def _exact_divide(num, div, field, pk, key):
         if (lm + guard - dlm) & guard != guard:
             raise ArithmeticError("inexact division")
         shift = lm - dlm
-        qc = c if dinv == one else field.mul(c, dinv)
-        quot[shift] = qc
+        quot[shift] = c
         for dm, dc in div.items():
             if dm == dlm:
                 continue
             m2 = dm + shift
             if m2 & guard:
                 _overflow()
-            v = field.sub(work.get(m2, zero), field.mul(qc, dc))
+            v = field.sub(work.get(m2, zero), field.mul(c, dc))
             if v == zero:
                 work.pop(m2, None)
             else:
@@ -355,8 +331,9 @@ def colon_ideal(gb: GroebnerBasis, f: Poly) -> GroebnerBasis:
     """Basis of (I : f) = {g : g*f in I}, for nonzero f.
 
     Via the elimination construction: intersect I with (f) using an
-    auxiliary top variable, then divide the intersection by f.  The
-    nonzerodivisor test downstream is (I : f) == I.
+    auxiliary top variable, then divide the intersection by f made
+    monic, which scales each quotient and leaves the reduced basis as
+    it is.  The nonzerodivisor test downstream is (I : f) == I.
     """
     if f.is_zero():
         raise ValueError("colon by the zero polynomial")
@@ -372,21 +349,22 @@ def colon_ideal(gb: GroebnerBasis, f: Poly) -> GroebnerBasis:
     mixed = {append(m, 0): c for m, c in f.packed.items()}
     mixed.update({append(m, 1): field.neg(c) for m, c in f.packed.items()})
     ext_gens.append(mixed)
-    epk, ekey = _packing(n + 1), ELIM_LAST.packed(n + 1)
+    epk, ekey = _packing(n + 1), _elim_last_packed(n + 1)
     basis = _reduce_basis(
         _buchberger([t for t in ext_gens if t], field, epk, ekey),
         field, epk, ekey)
     # under the block order, a t-free leading monomial forces the whole
     # element t-free, so these form a grevlex basis of I intersect (f)
-    pk, key = _packing(n), GREVLEX.packed(n)
+    pk, key = _packing(n), _grevlex_packed(n)
+    divisor = _record(f.packed, field, key)[0]
     split_last = epk.split_last
     quotients = []
     for terms, lm in basis:
         if split_last(lm)[1] == 0:
             inter = {split_last(m)[0]: c for m, c in terms.items()}
             quotients.append(Poly.from_packed(
-                field, n, _exact_divide(inter, f.packed, field, pk, key)))
-    return groebner(quotients, GREVLEX, field=field, nvars=n)
+                field, n, _exact_divide(inter, divisor, field, pk, key)))
+    return groebner(quotients, field=field, nvars=n)
 
 
 def _independent_dim(supports, n: int) -> int:
@@ -409,7 +387,7 @@ def ideal_dimension(gb: GroebnerBasis) -> int:
     -1 for the unit ideal.  Computed as the largest variable subset S
     such that no leading monomial is supported inside S.
     """
-    pk, key = _packing(gb.nvars), gb.order.packed(gb.nvars)
+    pk, key = _packing(gb.nvars), _grevlex_packed(gb.nvars)
     supports = [pk.support(max(g.packed, key=key)) for g in gb.gens]
     return _independent_dim(supports, gb.nvars)
 
@@ -425,7 +403,7 @@ def _dimension_floor(gens: Sequence[Poly], floor: int, field: Field,
     the dimension off the unreduced basis, whose leading monomials
     already generate LT(I).
     """
-    pk, key = _packing(nvars), GREVLEX.packed(nvars)
+    pk, key = _packing(nvars), _grevlex_packed(nvars)
     seed = [g.packed for g in gens if g.packed]
     pure = 0   # bit mask of the variables with a pure power so far
 

@@ -60,13 +60,3 @@ class HashStream:
             raise ValueError("bound must be positive")
         nbytes = max(16, (bound.bit_length() + 7) // 8 + 8)
         return int.from_bytes(self._take(nbytes), "big") % bound
-
-    def substream(self, *parts) -> "HashStream":
-        """Independent stream derived from this stream's key."""
-        child = HashStream.__new__(HashStream)
-        material = self._key + "\x1f".join(self._encode(p) for p in parts).encode()
-        child._key = hashlib.sha256(material).digest()
-        child._counter = 0
-        child._buf = b""
-        child._pos = 0
-        return child

@@ -1,15 +1,24 @@
 """Reference Buchberger engine on exponent tuples, with full scans.
 
 A self-contained oracle for ``defectus.groebner``: it shares none of the
-engine's code, only the definition of the orders (``MonomialOrder.key``
-on exponent tuples).  Monomials are tuples, each step scans every
-pending S-pair for the smallest (lcm key, i, j), and every reduction
-step scans the whole work polynomial for its leading monomial.  The
-pair criteria, the reduction and the colon construction follow the
-same rules as the engine, so both build the same unreduced bases term
-by term, and the same reduced bases, remainders and colon ideals.
-Term maps go in and come out as ``{exponent tuple: coefficient}``.
+engine's code, only the definition of grevlex on exponent tuples
+(``polynomials.grevlex_key``).  The block order of colon ideals is
+defined here, as the tuple key ``elim_last_key``.  Monomials are
+tuples, each step scans every pending S-pair for the smallest (lcm key,
+i, j), and every reduction step scans the whole work polynomial for its
+leading monomial.  Records are monic, and the pair criteria, the
+reduction and the colon construction follow the same rules as the
+engine, so both build the same unreduced bases term by term, and the
+same reduced bases, remainders and colon ideals.  Term maps go in and
+come out as ``{exponent tuple: coefficient}``.
 """
+
+from defectus.polynomials import grevlex_key
+
+
+def elim_last_key(e):
+    """The last variable dominates, grevlex on the rest: eliminates it."""
+    return (e[-1], grevlex_key(e[:-1]))
 
 
 def mono_mul(a, b):
@@ -28,24 +37,25 @@ def mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def record(terms, key):
+def record(terms, field, key):
+    """(terms divided by the leading coefficient, leading monomial)."""
     lm = max(terms, key=key)
-    return (terms, lm, terms[lm])
+    inv = field.inv(terms[lm])
+    return ({m: field.mul(inv, c) for m, c in terms.items()}, lm)
 
 
 def s_poly(rec_i, rec_j, field):
     zero = field.zero
-    ti, lmi, lci = rec_i
-    tj, lmj, lcj = rec_j
+    ti, lmi = rec_i
+    tj, lmj = rec_j
     lcm = mono_lcm(lmi, lmj)
     si, sj = mono_div(lcm, lmi), mono_div(lcm, lmj)
-    ci, cj = field.inv(lci), field.inv(lcj)
     out = {}
     for m, c in ti.items():
-        out[mono_mul(m, si)] = field.mul(ci, c)
+        out[mono_mul(m, si)] = c
     for m, c in tj.items():
         m2 = mono_mul(m, sj)
-        v = field.sub(out.get(m2, zero), field.mul(cj, c))
+        v = field.sub(out.get(m2, zero), c)
         if v == zero:
             out.pop(m2, None)
         else:
@@ -54,7 +64,7 @@ def s_poly(rec_i, rec_j, field):
 
 
 def normal_form_scan(terms, records, field, key):
-    """Full remainder of ``terms`` modulo the records (deterministic)."""
+    """Full remainder of ``terms`` modulo the monic records."""
     zero = field.zero
     rem = {}
     work = dict(terms)
@@ -69,14 +79,13 @@ def normal_form_scan(terms, records, field, key):
         if hit is None:
             rem[lm] = c
             continue
-        gterms, glm, glc = hit
-        factor = field.mul(c, field.inv(glc))
+        gterms, glm = hit
         shift = mono_div(lm, glm)
         for gm, gc in gterms.items():
             if gm == glm:
                 continue
             m2 = mono_mul(gm, shift)
-            v = field.sub(work.get(m2, zero), field.mul(factor, gc))
+            v = field.sub(work.get(m2, zero), field.mul(c, gc))
             if v == zero:
                 work.pop(m2, None)
             else:
@@ -86,7 +95,7 @@ def normal_form_scan(terms, records, field, key):
 
 def buchberger_scan(seed_terms, field, key):
     """Unreduced basis records, in the order the engine appends them."""
-    basis = [record(t, key) for t in seed_terms if t]
+    basis = [record(t, field, key) for t in seed_terms if t]
     pending = {(i, j) for i in range(len(basis))
                for j in range(i + 1, len(basis))}
 
@@ -113,14 +122,17 @@ def buchberger_scan(seed_terms, field, key):
         rem = normal_form_scan(s_poly(basis[i], basis[j], field), basis,
                                field, key)
         if rem:
-            basis.append(record(rem, key))
+            basis.append(record(rem, field, key))
             new = len(basis) - 1
             pending.update((t, new) for t in range(new))
     return basis
 
 
 def reduce_basis(basis, field, key):
-    """Minimal, inter-reduced, monic term maps, largest lead first."""
+    """Minimal, inter-reduced term maps, largest lead first.
+
+    Inter-reduction keeps each leading term, so the maps stay monic.
+    """
     kept = []
     for rec in sorted(basis, key=lambda r: key(r[1])):
         if not any(mono_divides(k[1], rec[1]) for k in kept):
@@ -132,14 +144,10 @@ def reduce_basis(basis, field, key):
             others = kept[:idx] + kept[idx + 1:]
             rem = normal_form_scan(kept[idx][0], others, field, key)
             if rem != kept[idx][0]:
-                kept[idx] = record(rem, key)
+                kept[idx] = record(rem, field, key)
                 changed = True
-    out = []
-    for terms, lm, lc in kept:
-        inv = field.inv(lc)
-        out.append(({m: field.mul(inv, c) for m, c in terms.items()}, lm))
-    out.sort(key=lambda t: key(t[1]), reverse=True)
-    return [t for t, _ in out]
+    kept.sort(key=lambda r: key(r[1]), reverse=True)
+    return [t for t, _ in kept]
 
 
 def groebner_terms(seed_terms, field, key):
@@ -174,10 +182,10 @@ def exact_divide(num_terms, div_terms, field, key):
     return quot
 
 
-def colon_terms(basis_terms, f_terms, field, key, elim_key):
-    """Reduced basis of (I : f) from a reduced basis of I, via I cap (f).
+def colon_terms(basis_terms, f_terms, field):
+    """Reduced grevlex basis of (I : f) from one of I, via I cap (f).
 
-    ``key`` orders K[x]; ``elim_key`` orders K[x, t] with t dominant.
+    The intersection is computed in K[x, t] under ``elim_last_key``.
     """
     zero = field.zero
     ext = [{m + (1,): c for m, c in g.items()} for g in basis_terms]
@@ -191,8 +199,8 @@ def colon_terms(basis_terms, f_terms, field, key, elim_key):
             mixed[mt] = v
     ext.append(mixed)
     quotients = []
-    for terms in groebner_terms([t for t in ext if t], field, elim_key):
-        if max(terms, key=elim_key)[-1] == 0:
+    for terms in groebner_terms([t for t in ext if t], field, elim_last_key):
+        if max(terms, key=elim_last_key)[-1] == 0:
             inter = {m[:-1]: c for m, c in terms.items()}
-            quotients.append(exact_divide(inter, f_terms, field, key))
-    return groebner_terms(quotients, field, key)
+            quotients.append(exact_divide(inter, f_terms, field, grevlex_key))
+    return groebner_terms(quotients, field, grevlex_key)

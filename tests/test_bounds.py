@@ -5,9 +5,10 @@ import pytest
 
 from defectus import (
     BoundInputs, BudgetExceeded, Poly, PolySystem, decimal_string, derive,
-    enumerate_points, field_make, groebner, ideal_dimension,
-    point_count_bound, sample_system,
+    enumerate_points, field_make, ideal_dimension, point_count_bound,
+    sample_system,
 )
+from defectus.groebner import groebner
 from defectus.rng import HashStream
 
 
@@ -19,6 +20,20 @@ def test_derive_reference_values():
     assert rep.prob_B1 == Fraction(32768, 1030301)
     assert rep.prob_B2 == Fraction(4096, 10201)
     assert not rep.vacuous_B1 and not rep.vacuous_B2
+
+
+@pytest.mark.parametrize("bits,refused", [(20, False), (19, True)])
+def test_derive_bit_budget_boundary(monkeypatch, bits, refused):
+    # q^dimF = 2^20 here: refused exactly when it passes 2^BOUND_BITS
+    import defectus.bounds as bounds
+    monkeypatch.setattr(bounds, "BOUND_BITS", bits)
+    inputs = BoundInputs(3, 2, 2, (2, 2))
+    if refused:
+        with pytest.raises(BudgetExceeded,
+                           match=r"needs 2\^20 systems, budget is 2\^19$"):
+            derive(inputs)
+    else:
+        assert derive(inputs).dimF == 20
 
 
 def test_derive_symbolic_shape():

@@ -1,5 +1,4 @@
 import hashlib
-import importlib
 import json
 import pickle
 from collections import Counter
@@ -8,15 +7,17 @@ from itertools import combinations
 import pytest
 
 from defectus import (
-    CERTIFIED_IRREDUCIBLE, CERTIFIED_REDUCIBLE, BoundInputs, Poly,
-    PolySystem, classify, colon_ideal, fiber_dimension, field_make,
-    find_reducibility_witness, groebner, ideal_dimension,
-    initial_form_criterion, is_regular_sequence, jacobian_minors,
-    kollar_dimension_test, matrix_rank, minor_combo_fiber_test,
-    normal_form, prime_power_decompose, projective_dimension, sample_system,
-    system_from_census_index,
+    CERTIFIED_IRREDUCIBLE, CERTIFIED_REDUCIBLE, BoundInputs, Poly, PolySystem,
+    colon_ideal, fiber_dimension, field_make, find_reducibility_witness,
+    ideal_dimension, initial_form_criterion, is_regular_sequence,
+    jacobian_minors, kollar_dimension_test, matrix_rank,
+    minor_combo_fiber_test, normal_form, prime_power_decompose,
+    projective_dimension, sample_system, system_from_census_index,
 )
+import defectus.classify as clmod
+from defectus.classify import classify
 from defectus.experiment import census_size
+from defectus.groebner import groebner
 from defectus.rng import HashStream
 
 from conftest import random_poly
@@ -389,7 +390,6 @@ def test_dehomogenized_minors_are_the_affine_minors(q, r, d):
 
 
 def test_classify_builds_one_jacobian_per_system(monkeypatch, f2):
-    clmod = importlib.import_module("defectus.classify")
     calls = []
     minors = clmod.jacobian_minors
 

@@ -167,6 +167,16 @@ def test_bounds_prints_exact_counts_whole(capsys):
     assert blob["count_B2"] == expected.count_B2
 
 
+def test_bounds_refuses_counts_too_long_to_print(capsys):
+    # q^dimF = 2^18733638: refused before any power is formed, where
+    # printing the counts whole would run for hours
+    code, out, err = _run(capsys, "bounds", "--q", "2", "--r", "6",
+                          "--s", "2", "--d", "40,40")
+    assert code == 3 and out == ""
+    assert err.startswith("budget:") and err.count("\n") == 1
+    assert "2^18733638" in err and "2^1048576" in err
+
+
 def _system_file(tmp_path, exps):
     path = tmp_path / "sys.json"
     path.write_text(json.dumps({"polys": [

@@ -5,11 +5,12 @@ import math
 import pytest
 
 from defectus import (
-    BoundInputs, BudgetExceeded, ExperimentConfig, OutcomeCounts, classify,
-    cp_interval, cp_upper_one_sided, derive, field_make,
-    linear_census_oracle, run_census, run_monte_carlo, sample_system,
-    system_from_census_index,
+    BoundInputs, BudgetExceeded, ExperimentConfig, OutcomeCounts, cp_interval,
+    cp_upper_one_sided, derive, field_make, linear_census_oracle, run_census,
+    run_monte_carlo, sample_system, system_from_census_index,
 )
+import defectus.experiment as experiment
+from defectus.classify import classify
 from defectus.experiment import (
     _binom_cdf, _verdicts, census_size, coefficient_layout, gaussian_binomial,
     matrices_of_rank,
@@ -186,6 +187,21 @@ def test_census_budget_boundary(monkeypatch, budget, refused):
         assert exc.value.required == 256
     else:
         assert run_census(config)[0].counts.n == 256
+
+
+@pytest.mark.parametrize("mode", ["monte_carlo", "census"])
+def test_bound_bits_refusal_comes_before_any_system(monkeypatch, mode):
+    # q^dimF = 2^18733638 is past the bound report's bit budget (and
+    # the census budget): both runners refuse before the first system
+    def no_chunks(*args):
+        raise AssertionError("systems were classified")
+
+    monkeypatch.setattr(experiment, "_map_chunks", no_chunks)
+    config = ExperimentConfig(inputs=BoundInputs(6, 2, 2, (40, 40)),
+                              mode=mode, n_samples=1)
+    runner = run_monte_carlo if mode == "monte_carlo" else run_census
+    with pytest.raises(BudgetExceeded, match=r" needs 2\^18733638 "):
+        runner(config)
 
 
 def test_threads_below_one_rejected():

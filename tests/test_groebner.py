@@ -1,21 +1,24 @@
-import importlib
-
 import pytest
 
 from defectus import (
-    GroebnerBasis, Poly, colon_ideal, embed_poly, extension_of,
-    field_make, groebner, ideal_dimension, monomials_upto,
-    normal_form, projective_dimension,
+    Poly, colon_ideal, embed_poly, extension_of, field_make,
+    ideal_dimension, monomials_upto, normal_form, projective_dimension,
 )
-from defectus.groebner import ELIM_LAST, GREVLEX
+import defectus.groebner as gbmod
+import defectus.polynomials as polymod
+from defectus.groebner import groebner
 from defectus.rng import HashStream
 
 import reference_groebner
 from conftest import random_poly
 
-# the package attribute defectus.groebner is the function, not the module
-gbmod = importlib.import_module("defectus.groebner")
-polymod = importlib.import_module("defectus.polynomials")
+# each int key of the engine on packed monomials, and the tuple key of
+# the same order: grevlex, and the block order private to colon_ideal
+ORDERS = {
+    "grevlex": (polymod._grevlex_packed, reference_groebner.grevlex_key),
+    "elim_last": (polymod._elim_last_packed,
+                  reference_groebner.elim_last_key),
+}
 
 
 def _vars(field, n=3):
@@ -234,18 +237,19 @@ def test_basis_gens_are_monic_and_sorted(f7):
                                for m in g.terms)
 
 
-@pytest.mark.parametrize("order", [GREVLEX, ELIM_LAST], ids=repr)
+@pytest.mark.parametrize("order", ["grevlex", "elim_last"])
 @pytest.mark.parametrize("nvars", [4, 5])
 def test_inverted_key_reverses_order(order, nvars):
     # the heaps push -key(m) on packed monomials: -key(a) < -key(b)
     # must hold exactly when b < a in the order
+    packed_key, tuple_key = ORDERS[order]
     mons = monomials_upto(nvars, 4)
-    pk, key = polymod._packing(nvars), order.packed(nvars)
+    pk, key = polymod._packing(nvars), packed_key(nvars)
     packed = {m: pk.pack(m) for m in mons}
-    assert len({order.key(m) for m in mons}) == len(mons)
+    assert len({tuple_key(m) for m in mons}) == len(mons)
     assert len({-key(packed[m]) for m in mons}) == len(mons)
     assert sorted(mons, key=lambda m: -key(packed[m])) == \
-        sorted(mons, key=order.key, reverse=True)
+        sorted(mons, key=tuple_key, reverse=True)
 
 
 @pytest.mark.parametrize("nvars", [4, 5])
@@ -257,13 +261,13 @@ def test_packed_monomials_match_tuples(nvars):
     packed = [pk.pack(m) for m in mons]
     assert [pk.unpack(m) for m in packed] == mons
     assert len(set(packed)) == len(mons)
-    for order in (GREVLEX, ELIM_LAST):
-        key = order.packed(nvars)
+    for packed_key, tuple_key in ORDERS.values():
+        key = packed_key(nvars)
         keys = [key(m) for m in packed]
         assert all(isinstance(k, int) for k in keys)
         assert len(set(keys)) == len(mons)
         assert sorted(mons, key=lambda m: key(pk.pack(m))) == \
-            sorted(mons, key=order.key)
+            sorted(mons, key=tuple_key)
     guard = pk.guard
     for a, pa in zip(mons, packed):
         for b, pb in zip(mons, packed):
@@ -274,6 +278,34 @@ def test_packed_monomials_match_tuples(nvars):
                 assert pb - pa == pk.pack(reference_groebner.mono_div(b, a))
             assert pk.lcm(pa, pb) == \
                 pk.pack(reference_groebner.mono_lcm(a, b))
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (101, 1)])
+def test_records_are_monic_with_one_inverse_each(p, k, monkeypatch):
+    # a record is made monic when it joins the basis, at one inverse at
+    # most; S-polynomials and reduction steps invert nothing
+    field = field_make(p, k)
+    calls = []
+    inv = type(field).inv
+
+    def counted(self, a):
+        if self is field:
+            calls.append(a)
+        return inv(self, a)
+
+    monkeypatch.setattr(type(field), "inv", counted)
+    pk, key = polymod._packing(3), polymod._grevlex_packed(3)
+    stream = HashStream("monic-records", field.q)
+    grown = 0
+    for _ in range(20):
+        seeds = [random_poly(field, 3, 2, stream).packed for _ in range(3)]
+        seeds = [t for t in seeds if t]
+        del calls[:]
+        basis = gbmod._buchberger(seeds, field, pk, key)
+        assert len(calls) <= len(basis)
+        assert all(terms[lm] == field.one for terms, lm in basis)
+        grown += len(basis) > len(seeds)
+    assert grown  # the S-pairs added records too
 
 
 def test_packing_limit_raises(f7):
@@ -302,20 +334,27 @@ def test_packing_overflow_in_computation_raises(f7):
     x, y = (Poly.variable(f7, 2, i) for i in range(2))
     xh = Poly(f7, 2, {(half, 0): 1})
     yh = Poly(f7, 2, {(0, half): 1})
+    pk, elim = polymod._packing(2), polymod._elim_last_packed(2)
+
+    def eliminate(gens):  # the engine under colon_ideal's block order
+        basis = gbmod._buchberger([g.packed for g in gens], f7, pk, elim)
+        return gbmod._reduce_basis(basis, f7, pk, elim)
+
     with pytest.raises(ValueError, match="packing limit"):
         groebner([xh + y, yh + x])            # the pair's lcm
     with pytest.raises(ValueError, match="packing limit"):
-        groebner([y - xh, y * y], ELIM_LAST)  # reducing x^half * y
+        eliminate([y - xh, y * y])            # reducing x^half * y
     xq = Poly(f7, 2, {(15000, 0): 1})
     with pytest.raises(ValueError, match="packing limit"):
-        groebner([y - xh, y * xq], ELIM_LAST)  # the S-polynomial
+        eliminate([y - xh, y * xq])           # the S-polynomial
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (101, 1)])
 def test_engine_matches_scan_reference(p, k):
     # the packed engine must retrace the tuple engine of
-    # reference_groebner exactly: the same unreduced bases term by term,
-    # the same reduced bases, remainders and colon ideals, both orders
+    # reference_groebner exactly: the same monic unreduced bases term by
+    # term, the same reduced bases, remainders and colon ideals, under
+    # grevlex (the public operations) and under colon_ideal's block order
     field = field_make(p, k, 0)
     stream = HashStream("engine-reference", p, k)
     cases = []
@@ -328,32 +367,42 @@ def test_engine_matches_scan_reference(p, k):
     def items(terms):
         return list(terms.items())
 
+    pk = polymod._packing(3)
+
+    def unpacked(terms):
+        return [(pk.unpack(m), c) for m, c in terms.items()]
+
     for gens, probe in cases:
         seeds = [dict(g.terms) for g in gens]
-        for order in (GREVLEX, ELIM_LAST):
-            pk, key = polymod._packing(3), order.packed(3)
+        for order, (packed_key, tuple_key) in ORDERS.items():
+            key = packed_key(3)
             raw = gbmod._buchberger(
                 [{pk.pack(m): c for m, c in t.items()} for t in seeds],
                 field, pk, key)
             ref_raw = reference_groebner.buchberger_scan(seeds, field,
-                                                         order.key)
-            assert [[(pk.unpack(m), c) for m, c in t.items()]
-                    for t, _, _ in raw] == \
-                [items(t) for t, _, _ in ref_raw]
-            gb = groebner(gens, order)
+                                                         tuple_key)
+            assert [unpacked(t) for t, _ in raw] == \
+                [items(t) for t, _ in ref_raw]
+            reduced = gbmod._reduce_basis(raw, field, pk, key)
             ref_gb = reference_groebner.reduce_basis(ref_raw, field,
-                                                     order.key)
-            assert [items(g.terms) for g in gb.gens] == \
+                                                     tuple_key)
+            assert [unpacked(t) for t, _ in reduced] == \
                 [items(t) for t in ref_gb]
+            rem = gbmod._normal_form(probe.packed, reduced, field, pk, key)
             ref_rem = reference_groebner.normal_form_scan(
                 probe.terms,
-                [reference_groebner.record(t, order.key) for t in ref_gb],
-                field, order.key)
-            assert items(normal_form(probe, gb).terms) == items(ref_rem)
+                [reference_groebner.record(t, field, tuple_key)
+                 for t in ref_gb],
+                field, tuple_key)
+            assert unpacked(rem) == items(ref_rem)
+            if order == "grevlex":
+                gb = groebner(gens)
+                assert [items(g.packed) for g in gb.gens] == \
+                    [items(t) for t, _ in reduced]
+                assert items(normal_form(probe, gb).packed) == items(rem)
         prefix = groebner(gens[:-1])
         col = colon_ideal(prefix, gens[-1])
         ref_col = reference_groebner.colon_terms(
-            [g.terms for g in prefix.gens], gens[-1].terms, field,
-            GREVLEX.key, ELIM_LAST.key)
+            [g.terms for g in prefix.gens], gens[-1].terms, field)
         assert [items(g.terms) for g in col.gens] == \
             [items(t) for t in ref_col]

@@ -3,9 +3,10 @@ import math
 import pytest
 
 from defectus import (
-    Poly, determinant, groebner, macaulay_build, matrix_rank,
-    projective_dimension, resultant_value, resultant_vanishes,
+    Poly, determinant, macaulay_build, matrix_rank, projective_dimension,
+    resultant_value, resultant_vanishes,
 )
+from defectus.groebner import groebner
 from defectus.rng import HashStream
 
 from conftest import random_poly

@@ -1,23 +1,26 @@
-"""The library names that ``bench/tracing.py`` patches, and what they see.
+"""The library names that ``bench/`` uses and patches, and what they see.
 
-``--trace 1`` stops when a ``SPAN_TARGETS`` name is missing, so an
+``--trace 1`` stops when a ``SPAN_TARGETS`` name is missing, and
+``bench/run.py`` fails on a package attribute it cannot find, so an
 import cleanup in the library must keep every one of them resolvable.
 """
 
-import importlib
 import importlib.util
 import pickle
+import re
 from pathlib import Path
 
 import pytest
 
-from defectus import (
-    BoundInputs, classify, ensure_min_size, field_make, sample_system,
-)
+import defectus
+from defectus import BoundInputs, ensure_min_size, field_make, sample_system
+import defectus.classify as clmod
+from defectus.classify import classify
 from defectus.fields import MIN_RANDOMIZED_FIELD
 from defectus.rng import HashStream
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def _load_tracing():
@@ -34,10 +37,19 @@ def test_every_span_target_resolves():
         assert callable(getattr(tracing.resolve(module, attr), attr))
 
 
+def test_every_bench_library_name_resolves():
+    # bench/run.py imports the package as ``lib``: a name trimmed from
+    # the package API must fail here, not as a failed benchmark run
+    names = set()
+    for path in sorted(BENCH.glob("*.py")):
+        names.update(re.findall(r"\blib\.([A-Za-z_]\w*)", path.read_text()))
+    assert "sample_system" in names
+    assert sorted(n for n in names if not hasattr(defectus, n)) == []
+
+
 def test_classify_builds_no_reduced_basis_at_q101(monkeypatch):
     # the affine flags come from floored runs, and the witness budget
     # skips the search at q=101: no reduced basis is ever built
-    clmod = importlib.import_module("defectus.classify")
     calls = []
     engine = clmod.groebner
 
