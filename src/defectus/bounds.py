@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .fields import Field, extension_of, prime_power_decompose
+from .fields import Field, _digits, extension_of, prime_power_decompose
 from .polynomials import PolySystem, embed_poly
 
 BUDGET_DEFAULT = 1 << 20
@@ -225,12 +225,7 @@ def enumerate_points(system: PolySystem, ext_degree: int = 1,
     total = big.q ** system.r
     points = []
     for idx in range(total):
-        rest = idx
-        coords = []
-        for _ in range(system.r):
-            rest, digit = divmod(rest, big.q)
-            coords.append(digit)
-        point = tuple(coords)
+        point = tuple(_digits(idx, big.q, system.r))
         if all(f.evaluate(point) == big.zero for f in polys):
             points.append(point)
     return points

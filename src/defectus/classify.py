@@ -49,10 +49,11 @@ not depend on scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cache
 from itertools import combinations
 from typing import Optional
 
-from .fields import MIN_RANDOMIZED_FIELD, ensure_min_size
+from .fields import MIN_RANDOMIZED_FIELD, _digits, ensure_min_size
 from .groebner import (
     groebner, normal_form, projective_dimension,
     _cone_to_projective, _dimension_floor, _exact_divide,
@@ -139,22 +140,26 @@ def initial_form_criterion(system: PolySystem) -> bool:
     return projective_dimension(gb) == system.r - 1 - system.s
 
 
-def _rank_defect_dimension(system: PolySystem, minors=None) -> int:
+def _homogenized_minors(system: PolySystem):
+    """(F^h, its C(r+1, s) Jacobian minors): one homogenization."""
+    homog = system.homogenized()
+    return homog, jacobian_minors(homog)
+
+
+def _rank_defect_dimension(system: PolySystem, homog_minors=None) -> int:
     """Dimension of V(F_s, all s-by-s affine Jacobian minors).
 
-    ``minors`` are the C(r+1, s) homogenized minors,
-    ``jacobian_minors(system.homogenized())``, computed here when not
-    given.  The affine minors are the C(r, s) of them whose columns
-    exclude X_0, dehomogenized, in the same column order: at X_0 = 1,
-    dF^h/dX_j is dF/dX_j, and X_0 -> 1 is a ring map.
+    ``homog_minors`` is ``_homogenized_minors(system)``, computed here
+    when not given.  The affine minors are the C(r, s) homogenized ones
+    whose columns exclude X_0, dehomogenized, in the same column order:
+    at X_0 = 1, dF^h/dX_j is dF/dX_j, and X_0 -> 1 is a ring map.
 
     Exact only above the floor r-s-1, the one threshold its callers
     test: at or below it the result is some value <= r-s-1, because the
     basis computation stops once its leading monomials force that bound.
     """
     r, s = system.r, system.s
-    if minors is None:
-        minors = jacobian_minors(system.homogenized())
+    _, minors = homog_minors or _homogenized_minors(system)
     affine = [m.dehomogenize()
               for m, cols in zip(minors, combinations(range(r + 1), s))
               if r not in cols]
@@ -162,7 +167,7 @@ def _rank_defect_dimension(system: PolySystem, minors=None) -> int:
                             system.field, r)
 
 
-def fiber_dimension(system: PolySystem, minors=None) -> int:
+def fiber_dimension(system: PolySystem, homog_minors=None) -> int:
     """Projective dimension of V(F^h, all homogenized Jacobian minors).
 
     This is the fiber of the incidence variety over the system; -1 when
@@ -171,25 +176,49 @@ def fiber_dimension(system: PolySystem, minors=None) -> int:
     Exact: the affine cone is computed with floor 0, and every cone of
     dimension <= 0 gives -1, so the basis computation may stop as soon
     as each of X_0..X_r has a pure power among its leading monomials.
-    ``minors`` are ``jacobian_minors(system.homogenized())``, computed
-    here when not given.
+    ``homog_minors`` is ``_homogenized_minors(system)``, computed here
+    when not given.
     """
-    homog = system.homogenized()
-    if minors is None:
-        minors = jacobian_minors(homog)
+    homog, minors = homog_minors or _homogenized_minors(system)
     return _cone_to_projective(
         _dimension_floor(homog + minors, 0, system.field, system.r + 1))
+
+
+@cache
+def _witness_candidates(q: int, r: int, gdeg: int) -> tuple:
+    """The monic term maps of exact degree ``gdeg``, in index order.
+
+    Index idx reads its base-q digits over ``packed_monomials(r, gdeg)``
+    (grevlex descending, least significant first).  A candidate holds
+    element indices, and 1 is the one of every field of order q, so the
+    maps depend on q alone.  () when the q^len(mons) indices exceed
+    ``DEFAULT_WITNESS_BUDGET``.
+    """
+    mons = packed_monomials(r, gdeg)
+    count = q ** len(mons)
+    if count > DEFAULT_WITNESS_BUDGET:
+        return ()
+    top = set(mons).difference(packed_monomials(r, gdeg - 1))
+    out = []
+    for idx in range(count):
+        terms = {m: d for m, d in zip(mons, _digits(idx, q, len(mons))) if d}
+        # mons descend in grevlex: the first term is the leading one;
+        # below gdeg or not monic (_exact_divide needs it monic): skipped
+        lead = next(iter(terms), None)
+        if lead in top and terms[lead] == 1:
+            out.append(terms)
+    return tuple(out)
 
 
 def find_reducibility_witness(system: PolySystem):
     """Search for F_i = G*H with G, H both outside the ideal.
 
     Sound and deliberately incomplete: divisors are found by exhaustive
-    enumeration of low-degree candidates, skipped entirely when the
-    candidate count exceeds ``DEFAULT_WITNESS_BUDGET``.  The two
-    normal-form checks subsume coprimality; with a radical ideal they
-    certify that V = V(I+G) union V(I+H) splits the zero set into
-    proper parts.  The reduced basis of the ideal is computed only when
+    enumeration of low-degree monic candidates (``_witness_candidates``),
+    skipped entirely when the candidate count exceeds
+    ``DEFAULT_WITNESS_BUDGET``.  The two normal-form checks subsume
+    coprimality; with a radical ideal they certify that
+    V = V(I+G) union V(I+H) splits the zero set into proper parts.  The reduced basis of the ideal is computed only when
     the first exact divisor reaches those checks.
     Returns (i, G, H) or None.
     """
@@ -200,29 +229,13 @@ def find_reducibility_witness(system: PolySystem):
         if f.is_zero() or f.degree() < 2:
             continue
         for gdeg in range(1, f.degree()):
-            mons = packed_monomials(r, gdeg)
-            count = q ** len(mons)
-            if count > DEFAULT_WITNESS_BUDGET:
-                continue
-            top = set(mons).difference(packed_monomials(r, gdeg - 1))
-            for idx in range(count):
-                terms = {}
-                rest = idx
-                for m in mons:
-                    rest, digit = divmod(rest, q)
-                    if digit:
-                        terms[m] = digit
-                # mons descend in grevlex: the first term is the leading one
-                lead = next(iter(terms), None)
-                if lead not in top:
-                    continue  # degree below gdeg
-                if terms[lead] != field.one:
-                    continue  # up to scalar; _exact_divide needs it monic
+            for terms in _witness_candidates(q, r, gdeg):
                 try:
                     quot = _exact_divide(f.packed, terms, field, pk, key)
                 except ArithmeticError:
                     continue
-                cand = Poly.from_packed(field, r, terms)
+                # a copy: the cached map must not escape into a Poly
+                cand = Poly.from_packed(field, r, dict(terms))
                 other = Poly.from_packed(field, r, quot)
                 if gb is None:
                     gb = groebner(list(system.polys))
@@ -249,12 +262,13 @@ def classify(system: PolySystem) -> ClassificationReport:
     stci = dims[-1] == r - s
     # not dims[-1] == -1: a unit ideal may stop on pure powers first
     b0 = all_full and dims[-1] <= r - s - 1
-    # one Jacobian per system: the rank-defect stage reads its affine
-    # minors off the homogenized ones that the fiber stage needs
-    minors = jacobian_minors(system.homogenized())
-    itci = rs and _rank_defect_dimension(system, minors) <= r - s - 1
+    # one homogenization and one Jacobian per system: the rank-defect
+    # stage reads its affine minors off the homogenized ones that the
+    # fiber stage needs
+    homog_minors = _homogenized_minors(system)
+    itci = rs and _rank_defect_dimension(system, homog_minors) <= r - s - 1
 
-    fdim = fiber_dimension(system, minors)
+    fdim = fiber_dimension(system, homog_minors)
 
     if all_full and not b0 and fdim <= r - s - 2:
         irreducibility = CERTIFIED_IRREDUCIBLE
@@ -331,8 +345,7 @@ def minor_combo_fiber_test(system: PolySystem, count: int,
     if count not in (1, 2):
         raise ValueError("count must be 1 or 2")
     field = system.field
-    homog = system.homogenized()
-    minors = jacobian_minors(homog)
+    homog, minors = _homogenized_minors(system)
     big = ensure_min_size(field, MIN_RANDOMIZED_FIELD)
     stream = HashStream("minor-combo", seed, canonical_digest(homog), count)
     lifted = [embed_poly(g, big) for g in homog]

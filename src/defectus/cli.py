@@ -21,7 +21,9 @@ from .experiment import (
     ExperimentConfig, default_threads, linear_census_oracle,
     run_census, run_monte_carlo,
 )
-from .fields import field_make, prime_power_decompose
+from .fields import (
+    MIN_RANDOMIZED_FIELD, ensure_min_size, field_make, prime_power_decompose,
+)
 from .polynomials import PolySystem
 
 
@@ -163,7 +165,13 @@ def _cmd_selftest(args) -> int:
 
     def field_axioms():
         from .rng import HashStream
-        for field in (field_make(7, 1), field_make(2, 2, 0)):
+        f4 = field_make(2, 2, 0)
+        # the large fields exercise the packed multiply (F_101^4) and
+        # Euclid's inverse on a tower (F_4^10)
+        for field in (field_make(7, 1), f4,
+                      ensure_min_size(field_make(101, 1),
+                                      MIN_RANDOMIZED_FIELD),
+                      ensure_min_size(f4, MIN_RANDOMIZED_FIELD)):
             stream = HashStream("selftest", field.q)
             for _ in range(50):
                 a, b, c = (field.element_from_index(stream.randint(field.q))
@@ -212,7 +220,7 @@ def _cmd_selftest(args) -> int:
         assert json.dumps(r1.to_json_dict(False), sort_keys=True) == \
             json.dumps(r2.to_json_dict(False), sort_keys=True)
 
-    check("field axioms (F_7, F_4)", field_axioms)
+    check("field axioms (F_7, F_4, F_101^4, F_4^10)", field_axioms)
     check("groebner basics", groebner_basics)
     check("macaulay normalization", resultant_normalization)
     check("linear census vs rank oracle (q=2)", linear_oracle_micro)

@@ -31,7 +31,7 @@ from .classify import (
     CERTIFIED_IRREDUCIBLE, CERTIFIED_REDUCIBLE, ClassificationReport,
     classify,
 )
-from .fields import Field, field_make, prime_power_decompose
+from .fields import Field, _digits, field_make, prime_power_decompose
 from .polynomials import Poly, PolySystem, packed_monomials
 from .rng import HashStream
 
@@ -223,10 +223,7 @@ def system_from_census_index(inputs: BoundInputs, field: Field,
     read along the layout (generator by generator, monomials
     descending), most significant digit first.
     """
-    digits = []
-    for _ in range(sum(map(len, coefficient_layout(inputs)))):
-        index, dig = divmod(index, field.q)
-        digits.append(dig)
+    digits = _digits(index, field.q, inputs.dim_f)
     return _system_from_digits(inputs, field, reversed(digits))
 
 

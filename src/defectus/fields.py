@@ -34,9 +34,13 @@ Each extension picks its multiply once, by order, when it is built:
     fold back through the reductions of t^k .. t^(2k-2);
   * q > 2**16 over an extension base (``ExtensionField`` itself):
     schoolbook on the base-field digits, folded the same way.
-Outside the tables, inversion is extended Euclid on the digits, through
-a memo that is emptied whenever it reaches ``INV_MEMO_MAX`` entries, so
-a cached field stays bounded.
+Outside the tables, inversion is extended Euclid on the digits, with
+nothing remembered between calls.
+
+``_digits`` is the one base-q digit codec of the package: besides the
+extension arithmetic here, the census decoder (``experiment``), point
+enumeration (``bounds``) and the witness candidates (``classify``) read
+base-q indices through it.
 
 Two fields with equal (base, degree, modulus) compare equal and define
 identical arithmetic.  Moduli are found by a seeded deterministic
@@ -53,31 +57,22 @@ from .rng import HashStream
 
 
 class Field:
-    """Common interface; see PrimeField and ExtensionField."""
+    """What every field shares: the element model and its equality.
 
-    p: int
-    k: int
-    q: int
+    Elements are their own indices in [0, q), with 0 and 1 the zero and
+    the one, and the integer n maps to n mod p (module docstring).  Two
+    fields are equal when their ``_key`` is, the key naming the whole
+    base chain with its moduli.  Subclasses set p, k, q and ``_key`` and
+    supply add, sub, neg, mul, inv, encode, decode and describe.
+    """
 
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
+    zero = 0
+    one = 1
 
     def pow(self, a, e: int):
         if e < 0:
             raise ValueError("negative exponent")
-        result = self.one
+        result = 1
         base = a
         while e:
             if e & 1:
@@ -88,40 +83,29 @@ class Field:
 
     def from_int(self, n: int):
         """Image of the integer n under Z -> F (reduction mod p)."""
-        raise NotImplementedError
+        return n % self.p
 
     def element_from_index(self, i: int):
-        """Bijection [0, q) -> field elements, with index 0 -> 0."""
-        raise NotImplementedError
+        """Bijection [0, q) -> field elements: the identity."""
+        if not 0 <= i < self.q:
+            raise ValueError("index out of range")
+        return i
 
     def index_of(self, a) -> int:
-        raise NotImplementedError
-
-    def encode(self, a):
-        """JSON form of an element."""
-        raise NotImplementedError
-
-    def decode(self, obj):
-        raise NotImplementedError
-
-    def spec_key(self) -> tuple:
-        raise NotImplementedError
-
-    def describe(self) -> dict:
-        raise NotImplementedError
+        return a
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Field)
-                                 and self.spec_key() == other.spec_key())
+                                 and self._key == other._key)
 
     def __hash__(self):
-        return hash(self.spec_key())
+        return hash(self._key)
 
 
 class PrimeField(Field):
     """F_p with elements represented as ints in [0, p)."""
 
-    __slots__ = ("p", "k", "q", "zero", "one")
+    __slots__ = ("p", "k", "q", "_key")
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -129,8 +113,7 @@ class PrimeField(Field):
         self.p = p
         self.k = 1
         self.q = p
-        self.zero = 0
-        self.one = 1 % p
+        self._key = ("prime", p)
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -154,17 +137,6 @@ class PrimeField(Field):
             raise ValueError("negative exponent")
         return pow(a, e, self.p)
 
-    def from_int(self, n: int):
-        return n % self.p
-
-    def element_from_index(self, i: int):
-        if not 0 <= i < self.p:
-            raise ValueError("index out of range")
-        return i
-
-    def index_of(self, a) -> int:
-        return a
-
     def encode(self, a):
         return a
 
@@ -172,9 +144,6 @@ class PrimeField(Field):
         if not isinstance(obj, int):
             raise ValueError(f"prime field element must be an int, got {obj!r}")
         return obj % self.p
-
-    def spec_key(self):
-        return ("prime", self.p)
 
     def describe(self):
         return {"p": self.p, "k": 1, "q": self.p, "modulus": None}
@@ -194,8 +163,8 @@ class ExtensionField(Field):
     """
 
     __slots__ = (
-        "base", "degree", "modulus", "p", "k", "q", "zero", "one", "_red",
-        "_key", "_inv", "add", "sub", "neg",
+        "base", "degree", "modulus", "p", "k", "q", "_red", "_key",
+        "add", "sub", "neg",
     )
 
     def __init__(self, base: Field, degree: int, modulus: tuple):
@@ -211,10 +180,7 @@ class ExtensionField(Field):
         self.p = base.p
         self.k = base.k * degree
         self.q = base.q ** degree
-        self.zero = 0
-        self.one = 1
-        self._key = ("ext", base.spec_key(), degree, self.modulus)
-        self._inv = {}  # see inv; TableField leaves it empty
+        self._key = ("ext", base._key, degree, self.modulus)
         # _red[j] = digits of t^(degree+j) reduced mod the modulus, built
         # by the recurrence t^(degree+j+1) = t * t^(degree+j)
         red = [[base.neg(c) for c in modulus[:degree]]]
@@ -284,15 +250,7 @@ class ExtensionField(Field):
         return _from_digits(out, base.q)
 
     def inv(self, a):
-        """Inverse by extended Euclid against the modulus, on digits.
-
-        A Groebner run inverts the same few leading coefficients over
-        and over, so results are memoized, in a memo of bounded size.
-        """
-        memo = self._inv
-        inverse = memo.get(a)
-        if inverse is not None:
-            return inverse
+        """Inverse by extended Euclid against the modulus, on digits."""
         if not a:
             raise ZeroDivisionError("inverse of 0")
         base = self.base
@@ -301,21 +259,7 @@ class ExtensionField(Field):
         if len(g) != 1:
             raise ArithmeticError("modulus not irreducible")
         c = base.inv(g[0])
-        if len(memo) >= INV_MEMO_MAX:
-            memo.clear()
-        inverse = memo[a] = _from_digits([base.mul(c, x) for x in u], base.q)
-        return inverse
-
-    def from_int(self, n: int):
-        return n % self.p
-
-    def element_from_index(self, i: int):
-        if not 0 <= i < self.q:
-            raise ValueError("index out of range")
-        return i
-
-    def index_of(self, a) -> int:
-        return a
+        return _from_digits([base.mul(c, x) for x in u], base.q)
 
     def encode(self, a):
         base = self.base
@@ -325,12 +269,6 @@ class ExtensionField(Field):
         if not isinstance(obj, (list, tuple)) or len(obj) != self.degree:
             raise ValueError(f"expected a length-{self.degree} coefficient vector")
         return _from_digits([self.base.decode(c) for c in obj], self.base.q)
-
-    def spec_key(self):
-        return self._key
-
-    def __hash__(self):
-        return hash(self._key)
 
     def describe(self):
         return {
@@ -346,8 +284,6 @@ class ExtensionField(Field):
 
 # the largest order that TableField serves
 TABLE_MAX = 1 << 16
-# the most inverses a large field remembers at once
-INV_MEMO_MAX = 1 << 12
 
 
 class TableField(ExtensionField):
@@ -363,14 +299,16 @@ class TableField(ExtensionField):
         super().__init__(base, degree, modulus)
         p, q = self.p, self.q
         order = q - 1
-        g = _primitive_element(self)
+        # the schoolbook field of the same modulus computes the tables
+        twin = ExtensionField(base, degree, modulus)
+        g = _primitive_element(twin)
         # x -> x*g is F_p-linear in the base-p digits: cut x into chunks
         # of c digits (radix R = p^c) and add up the images of the chunks
         c = 1
         while p ** (c + 1) <= 256:
             c += 1
         radix = p ** c
-        images = [[ExtensionField.mul(self, v * radix ** i, g)
+        images = [[twin.mul(v * radix ** i, g)
                    for v in range(radix)]
                   for i in range(-(-self.k // c))]
         add = self.add
@@ -398,13 +336,6 @@ class TableField(ExtensionField):
             raise ZeroDivisionError("inverse of 0")
         # _exp[-l] = g^(2(q-1) - l) = g^(-l)
         return self._exp[-self._log[a]]
-
-    def pow(self, a, e: int):
-        if e < 0:
-            raise ValueError("negative exponent")
-        if not a:
-            return 0 if e else 1
-        return self._exp[self._log[a] * e % (self.q - 1)]
 
 
 class PackedField(ExtensionField):
@@ -486,18 +417,8 @@ def _primitive_element(field):
         d += 1
     if n > 1:
         primes.append(n)
-
-    def power(x, e):
-        result = 1
-        while e:
-            if e & 1:
-                result = ExtensionField.mul(field, result, x)
-            x = ExtensionField.mul(field, x, x)
-            e >>= 1
-        return result
-
     for g in range(2, field.q):
-        if all(power(g, order // ell) != 1 for ell in primes):
+        if all(field.pow(g, order // ell) != 1 for ell in primes):
             return g
     raise ArithmeticError("no primitive element: modulus not irreducible")
 
@@ -579,17 +500,6 @@ def _upoly_divmod(field, a, b):
     return _upoly_trim(field, quot), a
 
 
-def _upoly_gcd(field, a, b):
-    a, b = _upoly_trim(field, a), _upoly_trim(field, b)
-    while b:
-        _, a = _upoly_divmod(field, a, b)
-        a, b = b, a
-    if a:
-        c = field.inv(a[-1])
-        a = [field.mul(c, x) for x in a]
-    return a
-
-
 def _upoly_exgcd(field, a, m):
     """Return (g, u) with g = gcd(a, m) and u*a = g mod m."""
     r0, r1 = list(m), _upoly_trim(field, a)
@@ -632,13 +542,12 @@ def _upoly_is_irreducible(base: Field, modulus) -> bool:
     k = len(modulus) - 1
     if k == 1:
         return True
-    x = [base.zero, base.one]
-    h = list(x)
+    h = [base.zero, base.one]
     for _ in range(k // 2):
         h = _upoly_pow_mod(base, h, base.q, modulus)
-        diff = list(h) + [base.zero] * (2 - len(h))
+        diff = h + [base.zero] * (2 - len(h))
         diff[1] = base.sub(diff[1], base.one)
-        g = _upoly_gcd(base, _upoly_trim(base, diff), modulus)
+        g, _ = _upoly_exgcd(base, diff, modulus)
         if len(g) != 1:
             return False
     return True

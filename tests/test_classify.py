@@ -408,6 +408,33 @@ def test_classify_builds_one_jacobian_per_system(monkeypatch, f2):
     assert regular  # the rank-defect stage ran on some of them
 
 
+def test_witness_candidates_at_the_budget_edge():
+    # 8^4 = 4096 maps is not over the budget; of them, the monic ones of
+    # exact degree 1 lead with 1 on x_1, x_2 or x_3: 8^3 + 8^2 + 8
+    assert clmod.DEFAULT_WITNESS_BUDGET == 4096
+    assert len(clmod._witness_candidates(8, 3, 1)) == 584
+    assert clmod._witness_candidates(9, 3, 1) == ()
+
+
+def test_classify_homogenizes_once_per_system(monkeypatch, f2):
+    calls = []
+    homogenize = Poly.homogenize
+
+    def counted(self, cap):
+        calls.append(cap)
+        return homogenize(self, cap)
+
+    monkeypatch.setattr(Poly, "homogenize", counted)
+    inputs = BoundInputs(3, 2, 2, (2, 1))
+    systems = [system_from_census_index(inputs, f2, i)
+               for i in range(0, 16384, 97)]
+    regular = 0
+    for n, system in enumerate(systems, start=1):
+        regular += clmod.classify(system).regular_sequence
+        assert len(calls) == n * system.s
+    assert regular  # the rank-defect stage ran on some of them
+
+
 def test_report_pickles_unchanged(f7):
     # census workers ship their rows back pickled; slots keep each small
     rep = classify(_system(f7, (2, 1), [{(1, 1, 0): 1}, {(0, 0, 1): 1}]))
@@ -453,14 +480,32 @@ def _reference_witness(system, gb):
     return None
 
 
-@pytest.mark.parametrize("p,k", [(3, 1), (2, 2)])
-def test_witness_matches_reference_enumeration(p, k):
-    # the packed search returns the reference's first (i, G, H)
-    field = field_make(p, k)
+def _witness_draw(field, idx, planted):
     inputs = BoundInputs(3, 2, field.q, (2, 2))
+    system = sample_system(inputs, field, HashStream("witness-ref", idx))
+    if not planted:
+        return system
+    # F_1 becomes a product of two drawn linear forms: a uniform
+    # quadratic over F_8 factors too rarely for 40 draws to show one
+    g, h = sample_system(BoundInputs(3, 2, field.q, (1, 1)), field,
+                         HashStream("witness-planted", idx)).polys
+    return PolySystem(field, 3, 2, (2, 2), (g * h, system.polys[1]))
+
+
+# seed 1 gives F_8 its other modulus: the candidates, cached per order,
+# serve every field of that order
+@pytest.mark.parametrize("p,k,seed,planted", [
+    (3, 1, 0, False), (2, 2, 0, False), (2, 1, 0, False),
+    (2, 3, 0, True), (2, 3, 1, True),
+], ids=["3-1", "2-2", "2-1", "2-3", "2-3-seed1"])
+def test_witness_matches_reference_enumeration(p, k, seed, planted):
+    # the packed search returns the reference's first (i, G, H)
+    field = field_make(p, k, seed)
+    if seed:
+        assert field.modulus != field_make(p, k).modulus
     hits = 0
     for idx in range(40):
-        system = sample_system(inputs, field, HashStream("witness-ref", idx))
+        system = _witness_draw(field, idx, planted)
         hit = find_reducibility_witness(system)
         assert hit == _reference_witness(system, groebner(list(system.polys)))
         hits += hit is not None

@@ -6,6 +6,7 @@ are compared on every element and pair, the large ones on seeded draws.
 """
 
 import pickle
+from itertools import product
 
 import pytest
 
@@ -14,7 +15,7 @@ from defectus import (
     field_make,
 )
 from defectus.fields import (
-    INV_MEMO_MAX, MIN_RANDOMIZED_FIELD, TABLE_MAX, PackedField, TableField,
+    MIN_RANDOMIZED_FIELD, TABLE_MAX, PackedField, TableField,
 )
 from defectus.rng import HashStream
 
@@ -160,10 +161,26 @@ def test_pickle_round_trip_keeps_field_and_arithmetic(name):
                 assert f.inv(a) == field.inv(a)
 
 
-def test_inverse_memo_of_a_large_field_stays_bounded():
-    field = FIELDS["F_101^4"]()
-    stream = HashStream("fields-memo")
-    for _ in range(INV_MEMO_MAX + 50):
-        a = 1 + stream.randint(field.q - 1)
-        assert field.mul(a, field.inv(a)) == 1
-        assert len(field._inv) <= INV_MEMO_MAX
+# monic irreducibles of degree n over F_Q, by Gauss's formula
+# (1/n) sum_{d | n} mu(d) Q^(n/d)
+IRREDUCIBLE_COUNTS = {(2, 2): 1, (2, 3): 2, (2, 4): 3,
+                      (3, 2): 3, (3, 3): 8, (3, 4): 18, (4, 2): 6}
+
+
+@pytest.mark.parametrize("q,degree", sorted(IRREDUCIBLE_COUNTS))
+def test_constructor_accepts_exactly_the_irreducible_moduli(q, degree):
+    base = field_make(2, 2) if q == 4 else field_make(q, 1)
+    rb = _reference_of(base)
+    accepted = 0
+    for low in product(range(q), repeat=degree):
+        modulus = low + (1,)
+        irreducible = ref.is_irreducible(
+            rb, [rb.element_from_index(c) for c in modulus])
+        if irreducible:
+            field = ExtensionField(base, degree, modulus)
+            assert field.modulus == modulus and field.q == q ** degree
+            accepted += 1
+        else:
+            with pytest.raises(ValueError):
+                ExtensionField(base, degree, modulus)
+    assert accepted == IRREDUCIBLE_COUNTS[q, degree]
