@@ -239,12 +239,14 @@ def fraction_json(fr: Optional[Fraction]):
             "decimal": decimal_string(fr)}
 
 
-def decimal_string(fr: Fraction, sig: int = 6) -> str:
-    """Exact decimal rendering to ``sig`` significant digits.
+def decimal_string(fr: Fraction) -> str:
+    """Exact decimal rendering to six significant digits, rounded half
+    away from zero, as d.ddddde+XX ("0" for zero).
 
     Works at any magnitude; floats would overflow or flush to zero on
     the astronomically sized bounds.
     """
+    sig = 6
     if fr == 0:
         return "0"
     sign = "-" if fr < 0 else ""

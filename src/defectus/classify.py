@@ -218,9 +218,9 @@ def find_reducibility_witness(system: PolySystem):
     skipped entirely when the candidate count exceeds
     ``DEFAULT_WITNESS_BUDGET``.  The two normal-form checks subsume
     coprimality; with a radical ideal they certify that
-    V = V(I+G) union V(I+H) splits the zero set into proper parts.  The reduced basis of the ideal is computed only when
-    the first exact divisor reaches those checks.
-    Returns (i, G, H) or None.
+    V = V(I+G) union V(I+H) splits the zero set into proper parts.
+    The reduced basis of the ideal is computed only when the first
+    exact divisor reaches those checks.  Returns (i, G, H) or None.
     """
     field, r, q = system.field, system.r, system.field.q
     gb = None

@@ -204,6 +204,19 @@ def _cmd_selftest(args) -> int:
         ]
         assert resultant_value(mono, (2, 2, 2)) == f101.one
 
+    def resultant_vanishing():
+        from .resultant import resultant_vanishes
+        from .polynomials import Poly
+        f101 = field_make(101, 1)
+        x = [Poly.variable(f101, 3, i) for i in range(3)]
+        powers = [v * v for v in x]
+        assert not resultant_vanishes(powers, (2, 2, 2))
+        # X1 = X2 = 0 kills all three products: common zero (0:0:1)
+        products = [x[0] * x[1], x[0] * x[2], x[1] * x[2]]
+        assert resultant_vanishes(products, (2, 2, 2))
+        assert resultant_vanishes([Poly.zero(f101, 3)] + powers[1:],
+                                  (2, 2, 2))
+
     def linear_oracle_micro():
         inputs = BoundInputs(3, 2, 2, (1, 1))
         oracle = linear_census_oracle(inputs)
@@ -223,6 +236,7 @@ def _cmd_selftest(args) -> int:
     check("field axioms (F_7, F_4, F_101^4, F_4^10)", field_axioms)
     check("groebner basics", groebner_basics)
     check("macaulay normalization", resultant_normalization)
+    check("macaulay vanishing", resultant_vanishing)
     check("linear census vs rank oracle (q=2)", linear_oracle_micro)
     check("thread-count determinism", determinism)
     return 1 if failures else 0

@@ -295,10 +295,16 @@ def _binom_cdf(x: int, n: int):
 
 
 def _solve_decreasing(fn, target: float) -> float:
-    """Root of a decreasing fn on (0, 1) by bisection."""
+    """Root of a decreasing fn on (0, 1) by bisection, 100 steps at most.
+
+    Once the midpoint equals an end of the bracket no later step moves
+    it, so it is returned then.
+    """
     lo, hi = 0.0, 1.0
     for _ in range(100):
         mid = (lo + hi) / 2
+        if mid == lo or mid == hi:
+            return mid
         if fn(mid) > target:
             lo = mid
         else:
@@ -342,19 +348,22 @@ def _verdicts(counts: OutcomeCounts, bounds: BoundReport, mode: str,
     the one-sided Clopper-Pearson upper bound of the upper side, and the
     lower end of the two-sided interval of the lower side, with the
     probability bound.  Vacuous bounds (probability >= 1) are reported
-    as VACUOUS_PASS, never silently.
+    as VACUOUS_PASS, never silently.  Returns the two verdicts and the
+    one-sided Clopper-Pearson upper bound of p_1, which every report
+    carries, so that it is solved once.
     """
-    if not bounds.applicable:
-        return "INAPPLICABLE", "INAPPLICABLE"
     n = counts.n
+    p1_upper = cp_upper_one_sided(counts.in_B1, n, confidence)
+    if not bounds.applicable:
+        return "INAPPLICABLE", "INAPPLICABLE", p1_upper
 
     if bounds.vacuous_B1:
         v1 = "VACUOUS_PASS"
     elif mode == "census":
         v1 = "PASS" if counts.in_B1 <= bounds.count_B1 else "FAIL"
     else:
-        upper = cp_upper_one_sided(counts.in_B1, n, confidence)
-        v1 = "PASS" if Fraction(upper) <= bounds.prob_B1 else "NOT_VERIFIED"
+        v1 = "PASS" if Fraction(p1_upper) <= bounds.prob_B1 \
+            else "NOT_VERIFIED"
 
     if bounds.vacuous_B2:
         v2 = "VACUOUS_PASS"
@@ -374,14 +383,15 @@ def _verdicts(counts: OutcomeCounts, bounds: BoundReport, mode: str,
             v2 = "FAIL"
         else:
             v2 = "NOT_VERIFIED"
-    return v1, v2
+    return v1, v2, p1_upper
 
 
 def _assemble(config: ExperimentConfig, counts: OutcomeCounts,
               t0: float) -> EstimateReport:
     bounds = derive(config.inputs)
     n = counts.n
-    v1, v2 = _verdicts(counts, bounds, config.mode, config.confidence)
+    v1, v2, p1_upper = _verdicts(counts, bounds, config.mode,
+                                 config.confidence)
     lo, hi = cp_interval(counts.in_B1, n, config.confidence)
     return EstimateReport(
         mode=config.mode,
@@ -393,8 +403,7 @@ def _assemble(config: ExperimentConfig, counts: OutcomeCounts,
         p1_hat=Fraction(counts.in_B1, n),
         p1_cp_low=lo,
         p1_cp_high=hi,
-        p1_cp_upper_one_sided=cp_upper_one_sided(
-            counts.in_B1, n, config.confidence),
+        p1_cp_upper_one_sided=p1_upper,
         p2_lower_hat=Fraction(counts.in_B2_lower, n),
         p2_upper_hat=Fraction(counts.in_B2_upper, n),
         verdict_B1=v1,

@@ -599,9 +599,10 @@ def extension_of(base: Field, degree: int, seed: int = 0,
 MIN_RANDOMIZED_FIELD = 1 << 20
 
 
-def ensure_min_size(field: Field, min_size: int, seed: int = 0) -> Field:
+def ensure_min_size(field: Field, min_size: int) -> Field:
     """``field`` itself when |field| >= min_size, otherwise the smallest
-    sufficient tower extension over it.
+    sufficient extension over it: ``extension_of``'s seed-0 tower, so
+    the same field always lifts to the same extension.
 
     Elements of ``field`` are elements of the result as they stand.
     """
@@ -612,4 +613,4 @@ def ensure_min_size(field: Field, min_size: int, seed: int = 0) -> Field:
     while size < min_size:
         size *= field.q
         m += 1
-    return extension_of(field, m, seed)
+    return extension_of(field, m)

@@ -240,15 +240,12 @@ def _reduce_basis(basis, field, pk, key):
         probe = rec[1] + guard
         if not any((probe - k[1]) & guard == guard for k in kept):
             kept.append(rec)
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(kept)):
-            others = kept[:idx] + kept[idx + 1:]
-            rem = _normal_form(kept[idx][0], others, field, pk, key)
-            if rem != kept[idx][0]:
-                kept[idx] = (rem, kept[idx][1])
-                changed = True
+    # one pass: leading monomials never change here, so a tail reduced
+    # against them stays reduced
+    for idx, (terms, lm) in enumerate(kept):
+        rem = _normal_form(terms, kept[:idx] + kept[idx + 1:], field, pk, key)
+        if rem != terms:
+            kept[idx] = (rem, lm)
     kept.reverse()
     return kept
 

@@ -1,34 +1,39 @@
 """Macaulay resultants for square homogeneous systems.
 
-For r forms in r variables of degrees d_1..d_r the classical Macaulay
-construction pairs a square matrix with a designated submatrix so that
-det(numerator) = Res * det(denominator).  Normalization is pinned by
-Res(X_1^{d_1}, ..., X_r^{d_r}) = 1: on that system the numerator is a
-permutation-free identity.  The resultant vanishes exactly when the
-forms share a projective zero, which gives an emptiness test fully
-independent of the Groebner route.
+Let F_1..F_r be forms in r variables of degrees d_1..d_r, D =
+sum(d_i - 1) + 1 the critical degree, S_D the degree-D forms and
+I_D = sum S_{D - d_i} F_i.  ``resultant_vanishes`` is Macaulay's rank
+test, exact and seedless: the F_i share a projective zero over the
+algebraic closure iff the multiples v * F_i, deg v = D - d_i, have rank
+below dim S_D = C(D + r - 1, r - 1).
+
+* No common zero: the F_i form a regular sequence, so S/I has Hilbert
+  series prod(1 + t + ... + t^(d_i - 1)), of degree D - 1: I_D = S_D.
+* I_D = S_D: every X_j^D lies in I, so a common zero has no nonzero
+  coordinate, and there is none.
+* A rank does not change under field extension, so the rank over F_q
+  answers for the closure.
+
+``resultant_value`` is the classical quotient: det(numerator) =
+Res * det(denominator) (``MacaulayMatrix``), normalized by
+Res(X_1^{d_1}, ..., X_r^{d_r}) = 1, where the numerator is the identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
-from .fields import MIN_RANDOMIZED_FIELD, Field, ensure_min_size
-from .groebner import groebner, projective_dimension
-from .polynomials import Poly, canonical_digest, embed_poly, monomials_exact
-from .rng import HashStream
+from .fields import Field
+from .polynomials import _packing, packed_monomials
 
 
 @dataclass(frozen=True)
 class MacaulayMatrix:
-    """Numerator/denominator pair of the Macaulay construction.
-
-    Rows and columns are indexed by the degree-D monomials, D being the
-    critical degree sum(d_i - 1) + 1.  The row for monomial u uses the
-    first index i with X_i^{d_i} | u and holds (u / X_i^{d_i}) * F_i.
-    The denominator restricts to the monomials divisible by X_i^{d_i}
-    for at least two i.
-    """
+    """The Macaulay quotient: rows and columns are indexed by the
+    degree-D monomials; the row of u is (u / X_i^{d_i}) * F_i for the
+    first i with X_i^{d_i} | u, one of the rank test's multiples; the
+    denominator keeps the u divisible by two or more X_i^{d_i}."""
 
     degrees: tuple
     critical_degree: int
@@ -37,55 +42,65 @@ class MacaulayMatrix:
     denominator: tuple
 
 
-def macaulay_build(polys, degrees) -> MacaulayMatrix:
+def _setup(polys, degrees):
+    """Validate a square system: (degrees, D, the packed degree-D
+    monomials, and the builder of the multiples' rows over them)."""
     degrees = tuple(int(d) for d in degrees)
     r = len(polys)
     if r == 0 or any(f.nvars != r for f in polys):
         raise ValueError("need r homogeneous forms in r variables")
     if len(degrees) != r or any(d < 1 for d in degrees):
         raise ValueError("need r positive degrees")
-    field = polys[0].field
     for f, d in zip(polys, degrees):
         if not f.is_homogeneous():
             raise ValueError("forms must be homogeneous")
         if not f.is_zero() and f.degree() != d:
             raise ValueError("form degree disagrees with declared degree")
     crit = sum(d - 1 for d in degrees) + 1
-    mons = monomials_exact(r, crit)
-    col = {m: idx for idx, m in enumerate(mons)}
-    zero = field.zero
+    cols = _degree_block(r, crit)
+    col = {m: idx for idx, m in enumerate(cols)}
 
-    num_rows = []
-    reduced_flags = []
-    for u in mons:
-        owners = [i for i in range(r) if u[i] >= degrees[i]]
+    def row(i, shift):
+        """The row of x^shift * F_i, shift a packed monomial."""
+        out = [polys[i].field.zero] * len(cols)
+        for m, c in polys[i].packed.items():
+            out[col[m + shift]] = c
+        return tuple(out)
+
+    return degrees, crit, cols, row
+
+
+def _degree_block(r, deg):
+    """The packed degree-deg monomials in r variables, descending."""
+    return packed_monomials(r, deg)[:comb(deg + r - 1, r - 1)]
+
+
+def macaulay_build(polys, degrees) -> MacaulayMatrix:
+    degrees, crit, cols, row = _setup(polys, degrees)
+    r = len(degrees)
+    pk = _packing(r)
+    powers = [pk.pack(tuple(d if j == i else 0 for j in range(r)))
+              for i, d in enumerate(degrees)]   # X_i^{d_i}
+    mons = tuple(map(pk.unpack, cols))
+    num_rows, keep = [], []
+    for idx, u in enumerate(mons):
+        owners = [i for i, d in enumerate(degrees) if u[i] >= d]
         i = owners[0]  # pigeonhole: every degree-crit monomial has one
-        reduced_flags.append(len(owners) == 1)
-        shift = tuple(
-            e - (degrees[i] if j == i else 0) for j, e in enumerate(u))
-        row = [zero] * len(mons)
-        for m, c in polys[i].terms.items():
-            row[col[tuple(a + b for a, b in zip(m, shift))]] = c
-        num_rows.append(tuple(row))
-
-    keep = [idx for idx, flag in enumerate(reduced_flags) if not flag]
-    den_rows = tuple(
-        tuple(num_rows[i][j] for j in keep) for i in keep)
-    return MacaulayMatrix(degrees, crit, tuple(mons), tuple(num_rows),
-                          den_rows)
+        if len(owners) > 1:
+            keep.append(idx)
+        num_rows.append(row(i, cols[idx] - powers[i]))
+    den_rows = tuple(tuple(num_rows[i][j] for j in keep) for i in keep)
+    return MacaulayMatrix(degrees, crit, mons, tuple(num_rows), den_rows)
 
 
 def _forward_eliminate(rows, field: Field):
-    """Row echelon form by Gaussian elimination over the field.
-
-    Returns the pivot values in order, whose count is the rank, and
-    whether an odd number of row swaps was made.
-    """
+    """Gaussian elimination to row echelon form over the field: the
+    pivot values in order (their count is the rank) and whether an odd
+    number of row swaps was made."""
     mat = [list(r) for r in rows]
-    zero = field.zero
+    zero, mul, sub = field.zero, field.mul, field.sub
     nrows = len(mat)
-    pivots = []
-    odd = False
+    pivots, odd = [], False
     for col in range(len(mat[0]) if mat else 0):
         rank = len(pivots)
         if rank == nrows:
@@ -99,14 +114,16 @@ def _forward_eliminate(rows, field: Field):
             odd = not odd
         row_p = mat[rank]
         pinv = field.inv(row_p[col])
+        # sparse rows: only the pivot row's nonzeros (all at col or later)
+        support = [(c, v) for c, v in enumerate(row_p) if v != zero]
         for r in range(rank + 1, nrows):
             factor = mat[r][col]
             if factor == zero:
                 continue
-            factor = field.mul(factor, pinv)
+            factor = mul(factor, pinv)
             row_r = mat[r]
-            for c in range(col, len(row_p)):
-                row_r[c] = field.sub(row_r[c], field.mul(factor, row_p[c]))
+            for c, v in support:
+                row_r[c] = sub(row_r[c], mul(factor, v))
         pivots.append(row_p[col])
     return pivots, odd
 
@@ -127,11 +144,9 @@ def matrix_rank(rows, field: Field) -> int:
 
 
 def resultant_value(polys, degrees):
-    """Res as det(numerator)/det(denominator), or None when degenerate.
-
-    None means the denominator determinant vanished and the generic
-    quotient formula does not apply at this specialization.
-    """
+    """Res as det(numerator)/det(denominator); None when the
+    denominator vanishes, where the quotient formula does not apply
+    (``resultant_vanishes`` still decides such a system)."""
     mm = macaulay_build(polys, degrees)
     field = polys[0].field
     den = determinant(mm.denominator, field)
@@ -141,60 +156,10 @@ def resultant_value(polys, degrees):
     return field.mul(num, field.inv(den))
 
 
-def _linear_change(poly: Poly, matrix, field: Field) -> Poly:
-    """Substitute x_j -> sum_m matrix[j][m] * x_m."""
-    n = poly.nvars
-    images = [Poly(field, n,
-                   {tuple(1 if t == m else 0 for t in range(n)): matrix[j][m]
-                    for m in range(n) if matrix[j][m] != field.zero})
-              for j in range(n)]
-    powers = [{0: Poly.constant(field, n, field.one)} for _ in range(n)]
-
-    def power(j, e):
-        cache = powers[j]
-        if e not in cache:
-            cache[e] = power(j, e - 1) * images[j]
-        return cache[e]
-
-    total = Poly.zero(field, n)
-    for m, c in poly.terms.items():
-        term = Poly.constant(field, n, c)
-        for j, e in enumerate(m):
-            if e:
-                term = term * power(j, e)
-        total = total + term
-    return total
-
-
-def _random_invertible(field: Field, n: int, stream: HashStream):
-    while True:
-        mat = [[stream.randint(field.q) for _ in range(n)] for _ in range(n)]
-        if determinant(mat, field) != field.zero:
-            return mat
-
-
-def resultant_vanishes(polys, degrees, seed: int = 0) -> bool:
-    """True iff Res = 0, i.e. the projective zero set is nonempty.
-
-    When the denominator determinant vanishes, a seeded invertible
-    linear change of variables over a field of size >= 2**20 is applied
-    and the quotient retried (the resultant picks up a nonzero det^d
-    factor, so vanishing is preserved); the final fallback is the exact
-    Groebner emptiness test.
-    """
-    mm = macaulay_build(polys, degrees)
-    field = polys[0].field
-    if determinant(mm.denominator, field) != field.zero:
-        return determinant(mm.numerator, field) == field.zero
-
-    big = ensure_min_size(field, MIN_RANDOMIZED_FIELD)
-    lifted = [embed_poly(f, big) for f in polys]
-    stream = HashStream("resultant", seed, canonical_digest(polys))
-    r = len(polys)
-    for _ in range(4):
-        mat = _random_invertible(big, r, stream)
-        transformed = [_linear_change(f, mat, big) for f in lifted]
-        mm2 = macaulay_build(transformed, degrees)
-        if determinant(mm2.denominator, big) != big.zero:
-            return determinant(mm2.numerator, big) == big.zero
-    return projective_dimension(groebner(list(polys))) >= 0
+def resultant_vanishes(polys, degrees) -> bool:
+    """True iff Res = 0, i.e. the forms share a projective zero over the
+    algebraic closure: Macaulay's rank test (see the module docstring)."""
+    degrees, crit, cols, row = _setup(polys, degrees)
+    rows = [row(i, v) for i, d in enumerate(degrees)
+            for v in _degree_block(len(degrees), crit - d)]
+    return matrix_rank(rows, polys[0].field) < len(cols)

@@ -150,7 +150,7 @@ def _crit5_worker(rng):
         stream = HashStream("accept5", idx)
         degrees = tuple(1 + stream.randint(3) for _ in range(3))
         polys = [_random_homogeneous(field, 3, d, stream) for d in degrees]
-        vanishes = resultant_vanishes(polys, degrees, seed=idx)
+        vanishes = resultant_vanishes(polys, degrees)
         gb = groebner(polys, field=field, nvars=3)
         if vanishes != (projective_dimension(gb) >= 0):
             disagreements.append(idx)

@@ -273,6 +273,31 @@ def test_cp_interval_tails_against_brute_force():
         assert 1 - survival(x + 1, n, hi) == pytest.approx(0.005, abs=1e-9)
 
 
+def _bisect_100(fn, target):
+    # the solver as it was: always 100 bisection steps
+    lo, hi = 0.0, 1.0
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        if fn(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def test_solver_stops_with_its_bracket_bit_identically():
+    # once the midpoint equals an end of the bracket no later step moves
+    # it, so stopping there returns the 100-step answer to the bit
+    cases = [(x, n) for n in (1, 10, 200) for x in {0, 1, n // 2, n - 1, n}]
+    cases += [(0, 16384), (3, 16384), (120, 16384)]
+    for x, n in cases:
+        fn = _binom_cdf(x, n)
+        for alpha in (0.05, 0.01):
+            for target in (alpha, alpha / 2, 1 - alpha / 2):
+                assert experiment._solve_decreasing(fn, target) == \
+                    _bisect_100(fn, target), (x, n, target)
+
+
 def test_binom_cdf_bit_identical_to_direct_formula():
     # hoisting the log binomial coefficients out of the p loop keeps
     # the left-to-right float expression, hence every bit of the sum

@@ -308,6 +308,37 @@ def test_records_are_monic_with_one_inverse_each(p, k, monkeypatch):
     assert grown  # the S-pairs added records too
 
 
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (101, 1)])
+def test_reduce_basis_inter_reduces_once(p, k, monkeypatch):
+    # leading monomials never change under inter-reduction, so one
+    # normal form per kept record already gives the reduced basis
+    field = field_make(p, k)
+    calls = []
+    normal_form_of = gbmod._normal_form
+
+    def counted(*args):
+        calls.append(args[0])
+        return normal_form_of(*args)
+
+    pk, key = polymod._packing(3), polymod._grevlex_packed(3)
+    stream = HashStream("reduce-once", field.q)
+    changed = 0
+    for _ in range(20):
+        seeds = [random_poly(field, 3, 2, stream).packed for _ in range(3)]
+        basis = gbmod._buchberger([t for t in seeds if t], field, pk, key)
+        monkeypatch.setattr(gbmod, "_normal_form", counted)
+        del calls[:]
+        reduced = gbmod._reduce_basis(basis, field, pk, key)
+        monkeypatch.setattr(gbmod, "_normal_form", normal_form_of)
+        assert len(calls) == len(reduced)
+        for terms, lm in reduced:  # no term but the lead is reducible
+            others = [rec for rec in reduced if rec[1] != lm]
+            assert normal_form_of(terms, others, field, pk, key) == terms
+        changed += any(t is not terms for t, (terms, _) in
+                       zip(calls, reversed(reduced)))
+    assert changed  # some tails did need reducing
+
+
 def test_packing_limit_raises(f7):
     limit = polymod._LIMIT
     pk = polymod._packing(4)

@@ -1,12 +1,15 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
 from defectus import (
-    Poly, determinant, macaulay_build, matrix_rank, projective_dimension,
-    resultant_value, resultant_vanishes,
+    Poly, determinant, field_make, macaulay_build, matrix_rank,
+    projective_dimension, resultant_value, resultant_vanishes,
 )
-from defectus.groebner import groebner
+from defectus.groebner import _dimension_floor, groebner
+from defectus.polynomials import monomials_exact
 from defectus.rng import HashStream
 
 from conftest import random_poly
@@ -111,7 +114,7 @@ def test_groebner_cross_oracle(f101):
         degrees = tuple(1 + stream.randint(3) for _ in range(3))
         polys = [random_poly(f101, 3, d, stream, homogeneous=True)
                  for d in degrees]
-        vanishes = resultant_vanishes(polys, degrees, seed=idx)
+        vanishes = resultant_vanishes(polys, degrees)
         exact_empty = projective_dimension(groebner(
             [p for p in polys if not p.is_zero()] or [Poly.zero(f101, 3)],
             field=f101, nvars=3)) < 0
@@ -129,3 +132,61 @@ def test_determinant_and_rank_helpers(f7):
     assert determinant(singular, f7) == 0
     assert matrix_rank(singular, f7) == 2
     assert determinant([], f7) == f7.one  # empty product convention
+
+
+# -- differential test: the rank test against Groebner emptiness ----------
+
+_DIFF_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (101, 1))
+_DIFF_MAX_DEGREE = {2: 3, 3: 3, 4: 2}
+
+
+def _diff_form(field, mons, stream):
+    """A zero (1 in 20), dense (5 in 20) or sparse form on the monomials
+    ``mons``; the sparse ones have one to three of them."""
+    r = len(mons[0])
+    style = stream.randint(20)
+    if style == 0:
+        return Poly.zero(field, r)
+    picks = mons if style < 6 else {
+        mons[stream.randint(len(mons))]
+        for _ in range(1 + stream.randint(3))}
+    return Poly(field, r, {m: field.element_from_index(stream.randint(field.q))
+                           for m in picks})
+
+
+def test_rank_test_matches_groebner_emptiness():
+    fields = [field_make(p, k) for p, k in _DIFF_FIELDS]
+    mons = {(r, d): monomials_exact(r, d)
+            for r, top in _DIFF_MAX_DEGREE.items() for d in range(1, top + 1)}
+    degenerate = 0
+    for idx in range(700):
+        stream = HashStream("resultant-differential", idx)
+        field = fields[idx % len(fields)]
+        r = 2 + (idx // len(fields)) % 3
+        degrees = tuple(1 + stream.randint(_DIFF_MAX_DEGREE[r])
+                        for _ in range(r))
+        polys = [_diff_form(field, mons[r, d], stream) for d in degrees]
+        # the fiber stage's Groebner route: the affine cone has positive
+        # dimension iff the projective zero set is nonempty
+        nonempty = _dimension_floor(polys, 0, field, r) > 0
+        assert resultant_vanishes(polys, degrees) == nonempty, idx
+        den = macaulay_build(polys, degrees).denominator
+        degenerate += determinant(den, field) == field.zero
+    # the quotient formula would not apply to these: the rank test must
+    # decide them on its own
+    assert degenerate >= 200
+
+
+def test_resultant_module_is_independent_of_groebner():
+    path = Path(__file__).parent.parent / "src" / "defectus" / "resultant.py"
+    banned = {"groebner", "rng", "ensure_min_size", "MIN_RANDOMIZED_FIELD",
+              "extension_of", "embed_poly"}
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = {(node.module or "").rsplit(".", 1)[-1]}
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names = {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+        else:
+            continue
+        assert not names & banned, names & banned
