@@ -16,7 +16,14 @@ The exact flags:
 * ``ideal_theoretic_ci``: regular sequence whose ideal is radical.
   Radicality for a complete intersection over the perfect ground field
   reduces to generic smoothness: the ideal is radical iff the locus
-  where the affine Jacobian drops rank has dimension < r - s.
+  where the affine Jacobian drops rank has dimension < r - s.  The
+  fiber dimension bounds that locus.  At a point P = (1 : x) of
+  V(F^h), dF_i^h/dX_j = dF_i/dx_j for j >= 1, and Euler's identity
+  sum_j X_j dF_i^h/dX_j = d_i F_i^h vanishes at P (in every
+  characteristic; cap-relative homogenization keeps F_i^h homogeneous
+  of degree d_i).  So the X_0 column is -sum_j x_j times column j, and
+  the two Jacobians have the same rank at P: the affine rank-defect
+  locus is the fiber set off X_0 = 0, of dimension <= fiber_dim.
 * ``fiber_dim``: projective dimension of the homogenized system
   together with all maximal minors of its Jacobian in X_0..X_r.  The
   thresholds fiber_dim >= r-s and >= r-s-1 are membership in the
@@ -31,6 +38,12 @@ makes the floor exact: a proper ideal with i generators has dimension
 every other result is the exact dimension.  The full ideal I_s is one
 floored Buchberger run, never reduced; a reduced basis is built only in
 the witness search, once an exact divisor needs its membership test.
+
+Stage order: the prefix dimensions, one homogenized Jacobian, the
+fiber dimension, then the rank-defect stage, which runs only on a
+regular sequence with fiber_dim >= r-s.  Below that, Euler's bound
+already puts the rank-defect locus under r-s, and ``ideal_theoretic_ci``
+equals ``regular_sequence``.  The witness search comes last.
 
 Irreducibility is a certified trichotomy, not a decision procedure:
 a small singular locus (fiber_dim <= r-s-2 on a full-degree system
@@ -186,13 +199,14 @@ def fiber_dimension(system: PolySystem, homog_minors=None) -> int:
 
 @cache
 def _witness_candidates(q: int, r: int, gdeg: int) -> tuple:
-    """The monic term maps of exact degree ``gdeg``, in index order.
+    """(term map, top form) of the monic maps of exact degree ``gdeg``.
 
-    Index idx reads its base-q digits over ``packed_monomials(r, gdeg)``
-    (grevlex descending, least significant first).  A candidate holds
-    element indices, and 1 is the one of every field of order q, so the
-    maps depend on q alone.  () when the q^len(mons) indices exceed
-    ``DEFAULT_WITNESS_BUDGET``.
+    Index order: index idx reads its base-q digits over
+    ``packed_monomials(r, gdeg)`` (grevlex descending, least significant
+    first).  The top form is the degree-``gdeg`` part as a tuple of
+    items, a hashable key.  A candidate holds element indices, and 1 is
+    the one of every field of order q, so the maps depend on q alone.
+    () when the q^len(mons) indices exceed ``DEFAULT_WITNESS_BUDGET``.
     """
     mons = packed_monomials(r, gdeg)
     count = q ** len(mons)
@@ -206,7 +220,8 @@ def _witness_candidates(q: int, r: int, gdeg: int) -> tuple:
         # below gdeg or not monic (_exact_divide needs it monic): skipped
         lead = next(iter(terms), None)
         if lead in top and terms[lead] == 1:
-            out.append(terms)
+            out.append((terms, tuple((m, d) for m, d in terms.items()
+                                     if m in top)))
     return tuple(out)
 
 
@@ -219,20 +234,35 @@ def find_reducibility_witness(system: PolySystem):
     ``DEFAULT_WITNESS_BUDGET``.  The two normal-form checks subsume
     coprimality; with a radical ideal they certify that
     V = V(I+G) union V(I+H) splits the zero set into proper parts.
-    The reduced basis of the ideal is computed only when the first
-    exact divisor reaches those checks.  Returns (i, G, H) or None.
+    Top forms multiply in a domain, so G | F_i needs top(G) | top(F_i);
+    that test is made once per top form, and the full division only
+    where it passes.  The reduced basis of the ideal is computed only
+    when the first exact divisor reaches the checks.  Returns (i, G, H)
+    or None.
     """
     field, r, q = system.field, system.r, system.field.q
     gb = None
     pk, key = _packing(r), _grevlex_packed(r)
+
+    def quotient(num, div):
+        try:
+            return _exact_divide(num, div, field, pk, key)
+        except ArithmeticError:
+            return None
+
     for i, f in enumerate(system.polys, start=1):
         if f.is_zero() or f.degree() < 2:
             continue
+        ftop = f.initial_form(f.degree()).packed
         for gdeg in range(1, f.degree()):
-            for terms in _witness_candidates(q, r, gdeg):
-                try:
-                    quot = _exact_divide(f.packed, terms, field, pk, key)
-                except ArithmeticError:
+            divides = {}   # top form -> does it divide top(F_i)
+            for terms, top in _witness_candidates(q, r, gdeg):
+                if top not in divides:
+                    divides[top] = quotient(ftop, dict(top)) is not None
+                if not divides[top]:
+                    continue
+                quot = quotient(f.packed, terms)
+                if quot is None:
                     continue
                 # a copy: the cached map must not escape into a Poly
                 cand = Poly.from_packed(field, r, dict(terms))
@@ -266,9 +296,11 @@ def classify(system: PolySystem) -> ClassificationReport:
     # stage reads its affine minors off the homogenized ones that the
     # fiber stage needs
     homog_minors = _homogenized_minors(system)
-    itci = rs and _rank_defect_dimension(system, homog_minors) <= r - s - 1
-
     fdim = fiber_dimension(system, homog_minors)
+    # Euler: the rank-defect locus is at most fdim-dimensional, so the
+    # stage runs only when the fiber leaves its answer open
+    itci = rs and (fdim <= r - s - 1 or _rank_defect_dimension(
+        system, homog_minors) <= r - s - 1)
 
     if all_full and not b0 and fdim <= r - s - 2:
         irreducibility = CERTIFIED_IRREDUCIBLE

@@ -88,27 +88,28 @@ class OutcomeCounts:
         return cls(degree_drop=(0,) * s)
 
     @classmethod
-    def from_report(cls, rep: ClassificationReport):
+    def from_report(cls, rep: ClassificationReport, n: int = 1):
+        """The counts of ``n`` systems that all have report ``rep``."""
         return cls(
-            n=1,
-            in_B0=int(rep.in_B0),
-            in_B1=int(rep.in_B1),
-            in_B2_lower=int(rep.in_B2_lower),
-            in_B2_upper=int(rep.in_B2_upper),
-            certified_irreducible=int(
+            n=n,
+            in_B0=n * rep.in_B0,
+            in_B1=n * rep.in_B1,
+            in_B2_lower=n * rep.in_B2_lower,
+            in_B2_upper=n * rep.in_B2_upper,
+            certified_irreducible=n * (
                 rep.irreducibility == CERTIFIED_IRREDUCIBLE),
-            certified_reducible=int(
+            certified_reducible=n * (
                 rep.irreducibility == CERTIFIED_REDUCIBLE),
-            undetermined=int(
+            undetermined=n * (
                 rep.irreducibility not in (CERTIFIED_IRREDUCIBLE,
                                            CERTIFIED_REDUCIBLE)),
-            regular_sequence=int(rep.regular_sequence),
-            set_theoretic_ci=int(rep.set_theoretic_ci),
-            ideal_theoretic_ci=int(rep.ideal_theoretic_ci),
-            in_piW_rs=int(rep.in_piW_rs),
-            in_piW_rs1=int(rep.in_piW_rs1),
-            in_L=int(rep.in_L),
-            degree_drop=tuple(int(not full) for full in rep.degree_full),
+            regular_sequence=n * rep.regular_sequence,
+            set_theoretic_ci=n * rep.set_theoretic_ci,
+            ideal_theoretic_ci=n * rep.ideal_theoretic_ci,
+            in_piW_rs=n * rep.in_piW_rs,
+            in_piW_rs1=n * rep.in_piW_rs1,
+            in_L=n * rep.in_L,
+            degree_drop=tuple(n * (not full) for full in rep.degree_full),
         )
 
     def __add__(self, other: "OutcomeCounts"):
@@ -233,9 +234,9 @@ def _chunk(args):
     """Classify the systems of indices [start, stop); (counts, rows)."""
     config, start, stop, want_rows = args
     inputs, field = config.inputs, config.build_field()
-    acc = OutcomeCounts.zero(inputs.s)
     rows = [] if want_rows else None
-    # equal reports are kept once, so the pickled rows share them too
+    # equal reports are kept once, as [report, count]: the counts merge
+    # once per distinct report, and the pickled rows share the reports
     shared = {}
     for idx in range(start, stop):
         if config.mode == "census":
@@ -244,9 +245,13 @@ def _chunk(args):
             system = sample_system(inputs, field,
                                    HashStream("sample", config.seed, idx))
         rep = classify(system)
-        acc = acc + OutcomeCounts.from_report(rep)
+        entry = shared.setdefault(rep, [rep, 0])
+        entry[1] += 1
         if want_rows:
-            rows.append((idx, shared.setdefault(rep, rep)))
+            rows.append((idx, entry[0]))
+    acc = OutcomeCounts.zero(inputs.s)
+    for rep, n in shared.values():
+        acc = acc + OutcomeCounts.from_report(rep, n)
     return acc, rows
 
 

@@ -58,6 +58,7 @@ reduced.
 
 from __future__ import annotations
 
+from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import Sequence
@@ -364,17 +365,24 @@ def colon_ideal(gb: GroebnerBasis, f: Poly) -> GroebnerBasis:
     return groebner(quotients, field=field, nvars=n)
 
 
+@cache
+def _subset_masks(n: int) -> tuple:
+    """(size, complement mask) of each subset of n variables, largest first."""
+    full = (1 << n) - 1
+    return tuple((size, full & ~sum(1 << i for i in subset))
+                 for size in range(n, -1, -1)
+                 for subset in combinations(range(n), size))
+
+
 def _independent_dim(supports, n: int) -> int:
     """Size of a largest subset of the n variables containing no support.
 
     ``supports`` are the variable bit masks of the leading monomials; an
     empty support (the monomial 1) excludes even the empty set: -1.
     """
-    for size in range(n, -1, -1):
-        for subset in combinations(range(n), size):
-            sset = sum(1 << i for i in subset)
-            if all(supp & ~sset for supp in supports):
-                return size
+    for size, outside in _subset_masks(n):
+        if all(supp & outside for supp in supports):
+            return size
     return -1
 
 

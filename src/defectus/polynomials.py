@@ -554,11 +554,13 @@ def jacobian(polys):
 def det_poly_matrix(rows):
     """Determinant of a small square matrix of polynomials (cofactors)."""
     m = len(rows)
-    f0 = rows[0][0]
     if m == 1:
         return rows[0][0]
-    field, nvars = f0.field, f0.nvars
-    total = Poly.zero(field, nvars)
+    if m == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    f0 = rows[0][0]
+    total = Poly.zero(f0.field, f0.nvars)
     for j in range(m):
         entry = rows[0][j]
         if entry.is_zero():

@@ -408,6 +408,83 @@ def test_classify_builds_one_jacobian_per_system(monkeypatch, f2):
     assert regular  # the rank-defect stage ran on some of them
 
 
+def test_rank_defect_stage_runs_only_when_the_fiber_leaves_it_open(
+        monkeypatch, f2, f101):
+    # Euler puts the rank-defect locus inside the fiber set: below
+    # fiber_dim r-s the flag is known, and the stage must not run
+    calls = []
+    stage = clmod._rank_defect_dimension
+
+    def counted(system, *args):
+        calls.append(system)
+        return stage(system, *args)
+
+    monkeypatch.setattr(clmod, "_rank_defect_dimension", counted)
+
+    def ran(system):
+        before = len(calls)
+        rep = clmod.classify(system)
+        n = len(calls) - before
+        assert n <= 1
+        if rep.fiber_dim <= system.r - system.s - 1 \
+                or not rep.regular_sequence:
+            assert not n
+        return n
+
+    census = BoundInputs(3, 2, 2, (2, 1))
+    draws = BoundInputs(3, 2, 101, (2, 2))
+    for i in range(50):
+        ran(sample_system(draws, f101, HashStream("sample", 42, i)))
+    # the stage still runs where the fiber is large
+    assert sum(ran(system_from_census_index(census, f2, i))
+               for i in range(0, 16384, 97))
+
+
+def _ungated_itci(system, rep):
+    # the stage run on every regular sequence, as before the fiber gate
+    r, s = system.r, system.s
+    return rep.regular_sequence and \
+        clmod._rank_defect_dimension(system) <= r - s - 1
+
+
+@pytest.mark.parametrize("q,r,d", [
+    (3, 3, (2, 2)), (4, 3, (2, 2)), (101, 3, (2, 2)),
+    (3, 4, (2, 2)), (4, 4, (2, 1)), (101, 4, (2, 2, 1)),
+])
+def test_gated_itci_matches_the_rank_defect_stage(q, r, d):
+    field = field_make(*prime_power_decompose(q))
+    s = len(d)
+    inputs = BoundInputs(r, s, q, d)
+    decided = Counter()
+    for i in range(40):
+        system = sample_system(inputs, field, HashStream("gate", q, r, i))
+        if i % 2:
+            # F_1 a product of two drawn linear forms, a square on every
+            # other one: uniform draws almost never leave the stage open
+            g, h = sample_system(BoundInputs(r, 2, q, (1, 1)), field,
+                                 HashStream("gate-planted", q, r, i)).polys
+            f1 = g * (g if i % 4 == 1 else h)
+            system = PolySystem(field, r, s, d, (f1,) + system.polys[1:])
+        rep = classify(system)
+        assert rep.ideal_theoretic_ci == _ungated_itci(system, rep)
+        if rep.regular_sequence and rep.fiber_dim >= r - s:
+            decided[rep.ideal_theoretic_ci] += 1
+    assert decided[False]  # the stage ran and found a non-radical ideal
+
+
+@pytest.mark.slow
+def test_gated_itci_matches_the_rank_defect_stage_on_census(f2):
+    # q=2, d=(2,2): 2**20 systems; stride 19 keeps the run near a minute
+    inputs = BoundInputs(3, 2, 2, (2, 2))
+    itci = 0
+    for idx in range(0, census_size(inputs), 19):
+        system = system_from_census_index(inputs, f2, idx)
+        rep = classify(system)
+        assert rep.ideal_theoretic_ci == _ungated_itci(system, rep)
+        itci += rep.ideal_theoretic_ci
+    assert itci
+
+
 def test_witness_candidates_at_the_budget_edge():
     # 8^4 = 4096 maps is not over the budget; of them, the monic ones of
     # exact degree 1 lead with 1 on x_1, x_2 or x_3: 8^3 + 8^2 + 8
@@ -480,32 +557,37 @@ def _reference_witness(system, gb):
     return None
 
 
-def _witness_draw(field, idx, planted):
-    inputs = BoundInputs(3, 2, field.q, (2, 2))
+def _witness_draw(field, idx, planted, d):
+    inputs = BoundInputs(3, 2, field.q, d)
     system = sample_system(inputs, field, HashStream("witness-ref", idx))
     if not planted:
         return system
-    # F_1 becomes a product of two drawn linear forms: a uniform
-    # quadratic over F_8 factors too rarely for 40 draws to show one
-    g, h = sample_system(BoundInputs(3, 2, field.q, (1, 1)), field,
+    # F_1 becomes a product of a drawn linear form and a drawn form of
+    # degree d_1 - 1: a uniform F_1 factors too rarely for 40 draws to
+    # show one
+    g, h = sample_system(BoundInputs(3, 2, field.q, (1, d[0] - 1)), field,
                          HashStream("witness-planted", idx)).polys
-    return PolySystem(field, 3, 2, (2, 2), (g * h, system.polys[1]))
+    return PolySystem(field, 3, 2, d, (g * h, system.polys[1]))
 
 
 # seed 1 gives F_8 its other modulus: the candidates, cached per order,
-# serve every field of that order
-@pytest.mark.parametrize("p,k,seed,planted", [
-    (3, 1, 0, False), (2, 2, 0, False), (2, 1, 0, False),
-    (2, 3, 0, True), (2, 3, 1, True),
-], ids=["3-1", "2-2", "2-1", "2-3", "2-3-seed1"])
-def test_witness_matches_reference_enumeration(p, k, seed, planted):
+# serve every field of that order; at q=2, d=(3,2) the cubic meets
+# candidates of degree 1 and 2
+@pytest.mark.parametrize("p,k,seed,planted,d", [
+    (3, 1, 0, False, (2, 2)), (2, 2, 0, False, (2, 2)),
+    (2, 1, 0, False, (2, 2)), (2, 3, 0, True, (2, 2)),
+    (2, 3, 1, True, (2, 2)), (2, 1, 0, False, (3, 2)),
+    (2, 1, 0, True, (3, 2)),
+], ids=["3-1", "2-2", "2-1", "2-3", "2-3-seed1", "2-1-d32",
+        "2-1-d32-planted"])
+def test_witness_matches_reference_enumeration(p, k, seed, planted, d):
     # the packed search returns the reference's first (i, G, H)
     field = field_make(p, k, seed)
     if seed:
         assert field.modulus != field_make(p, k).modulus
     hits = 0
     for idx in range(40):
-        system = _witness_draw(field, idx, planted)
+        system = _witness_draw(field, idx, planted, d)
         hit = find_reducibility_witness(system)
         assert hit == _reference_witness(system, groebner(list(system.polys)))
         hits += hit is not None

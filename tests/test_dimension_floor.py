@@ -59,6 +59,8 @@ def _check_stages(system):
     assert clmod.fiber_dimension(system) == full_fiber
     gens = list(system.polys) + jacobian_minors(list(system.polys))
     full_rd = ideal_dimension(groebner(gens, field=field, nvars=r))
+    # Euler: the affine rank-defect locus is the fiber set off X_0 = 0
+    assert full_rd <= full_fiber
     floor = r - s - 1
     got = clmod._rank_defect_dimension(system)
     if full_rd > floor:
