@@ -17,7 +17,6 @@ from .classify import (
     CERTIFIED_IRREDUCIBLE, CERTIFIED_REDUCIBLE, UNDETERMINED,
     ClassificationReport, fiber_dimension,
     find_reducibility_witness, initial_form_criterion, is_regular_sequence,
-    kollar_dimension_test, minor_combo_fiber_test,
 )
 from .experiment import (
     EstimateReport, ExperimentConfig, OutcomeCounts, cp_interval,
@@ -25,8 +24,8 @@ from .experiment import (
     run_monte_carlo, sample_system, system_from_census_index,
 )
 from .fields import (
-    ExtensionField, Field, PrimeField, ensure_min_size, extension_of,
-    field_make, is_prime, prime_power_decompose,
+    ExtensionField, Field, PrimeField, extension_of, field_make, is_prime,
+    prime_power_decompose,
 )
 from .groebner import (
     GroebnerBasis, colon_ideal, ideal_dimension, normal_form,

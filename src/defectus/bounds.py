@@ -206,22 +206,23 @@ def enumerate_points(system: PolySystem, ext_degree: int = 1,
     """Exhaustive scan for the zeros of the system in F_{q^k}^r.
 
     Refuses (BudgetExceeded) when q^(k*r) points would exceed the
-    budget.  Returned points are coordinate tuples over the scanned
-    field, in enumeration-index order.
+    budget, before the extension's modulus search.  Returned points are
+    coordinate tuples over the scanned field, in enumeration-index order.
     """
     if ext_degree < 1:
         raise ValueError("extension degree must be >= 1")
     if budget is None:
         budget = enumeration_budget()
     field: Field = system.field
+    size = field.q ** ext_degree
+    if system.r > max_exponent(size, budget):
+        raise BudgetExceeded(size, system.r, budget, "point enumeration")
     if ext_degree == 1:
         big = field
         polys = list(system.polys)
     else:
         big = extension_of(field, ext_degree)
         polys = [embed_poly(f, big) for f in system.polys]
-    if system.r > max_exponent(big.q, budget):
-        raise BudgetExceeded(big.q, system.r, budget, "point enumeration")
     total = big.q ** system.r
     points = []
     for idx in range(total):

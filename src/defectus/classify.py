@@ -52,11 +52,6 @@ intersection; a generator that factors into parts neither of which
 lies in the ideal certifies reducibility; everything else is
 Undetermined.  The B_2 answer is therefore a bracket
 [in_B2_lower, in_B2_upper], never a guessed point.
-
-The two randomized operations (Kollar slicing, generic minor
-combinations) are one-sided cross-checks over a field of size at least
-2**20; their streams are keyed by (seed, system digest) so outcomes do
-not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -66,7 +61,7 @@ from functools import cache
 from itertools import combinations
 from typing import Optional
 
-from .fields import MIN_RANDOMIZED_FIELD, _digits, ensure_min_size
+from .fields import _digits
 from .groebner import (
     groebner, normal_form, projective_dimension,
     _cone_to_projective, _dimension_floor, _exact_divide,
@@ -74,10 +69,9 @@ from .groebner import (
 # not called here: bench/tracing.py wraps it; --trace 1 stops without it
 from .groebner import colon_ideal  # noqa: F401
 from .polynomials import (
-    Poly, PolySystem, _grevlex_packed, _packing, canonical_digest,
-    embed_poly, jacobian_minors, packed_monomials,
+    Poly, PolySystem, _grevlex_packed, _packing, jacobian_minors,
+    packed_monomials,
 )
-from .rng import HashStream
 
 CERTIFIED_IRREDUCIBLE = "CertifiedIrreducible"
 CERTIFIED_REDUCIBLE = "CertifiedReducible"
@@ -326,65 +320,3 @@ def classify(system: PolySystem) -> ClassificationReport:
         in_B2_lower=in_b1 or irreducibility == CERTIFIED_REDUCIBLE,
         in_B2_upper=irreducibility != CERTIFIED_IRREDUCIBLE,
     )
-
-
-# -- randomized one-sided cross-checks -----------------------------------
-
-def kollar_dimension_test(gens, d: int, seed: int = 0) -> bool:
-    """Randomized test for dim >= d of a projective zero set.
-
-    Adjoins d linear forms with coefficients uniform over a field of
-    size >= 2**20 and tests projective nonemptiness.  One-sided: when
-    the true dimension is >= d the sliced set is nonempty for every
-    specialization (a dimension count forces the intersection), so True
-    is always returned; when the true dimension is < d a rare unlucky
-    specialization may still answer True, never the reverse.
-    """
-    if d < 1:
-        raise ValueError("target dimension must be >= 1")
-    if not gens:
-        raise ValueError("need at least one polynomial to fix the ring")
-    if any(not g.is_homogeneous() for g in gens):
-        raise ValueError("slicing test needs homogeneous generators")
-    field = gens[0].field
-    n = gens[0].nvars
-    big = ensure_min_size(field, MIN_RANDOMIZED_FIELD)
-    stream = HashStream("kollar", seed, canonical_digest(gens), d)
-    lifted = [embed_poly(g, big) for g in gens]
-    for _ in range(d):
-        terms = {}
-        for i in range(n):
-            c = stream.randint(big.q)
-            if c:
-                mono = tuple(1 if t == i else 0 for t in range(n))
-                terms[mono] = c
-        lifted.append(Poly(big, n, terms))
-    # cone of a nonempty projective set; floor 0 decides dim >= 1 exactly
-    return _dimension_floor(lifted, 0, big, n) >= 1
-
-
-def minor_combo_fiber_test(system: PolySystem, count: int,
-                           seed: int = 0) -> int:
-    """Fiber dimension probed with 1 or 2 random minor combinations.
-
-    Returns the projective dimension of V(F^h, combo_1[, combo_2]) with
-    the combination coefficients uniform over a field of size >= 2**20.
-    One-sided by containment: the result is always >= the exact fiber
-    dimension; for random coefficients the threshold predicates
-    (>= r-s for one combination, >= r-s-1 for two) agree with the exact
-    fiber with high probability.
-    """
-    if count not in (1, 2):
-        raise ValueError("count must be 1 or 2")
-    field = system.field
-    homog, minors = _homogenized_minors(system)
-    big = ensure_min_size(field, MIN_RANDOMIZED_FIELD)
-    stream = HashStream("minor-combo", seed, canonical_digest(homog), count)
-    lifted = [embed_poly(g, big) for g in homog]
-    lifted_minors = [embed_poly(m, big) for m in minors]
-    for _ in range(count):
-        acc = Poly.zero(big, system.r + 1)
-        for mpoly in lifted_minors:
-            acc = acc + mpoly.scale(stream.randint(big.q))
-        lifted.append(acc)
-    return _cone_to_projective(_dimension_floor(lifted, 0, big, system.r + 1))

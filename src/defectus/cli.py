@@ -21,9 +21,7 @@ from .experiment import (
     ExperimentConfig, default_threads, linear_census_oracle,
     run_census, run_monte_carlo,
 )
-from .fields import (
-    MIN_RANDOMIZED_FIELD, ensure_min_size, field_make, prime_power_decompose,
-)
+from .fields import extension_of, field_make, prime_power_decompose
 from .polynomials import PolySystem
 
 
@@ -78,10 +76,18 @@ def _dumps(obj) -> str:
         sys.set_int_max_str_digits(limit)
 
 
+def _open_output(path: str, **kwargs):
+    """``open(path, "w")``; an unwritable path is a validation error."""
+    try:
+        return open(path, "w", **kwargs)
+    except OSError as exc:
+        raise ValueError(f"cannot write output file: {exc}")
+
+
 def _emit(obj, args) -> None:
     text = _dumps(obj)
     if args.out:
-        with open(args.out, "w") as fh:
+        with _open_output(args.out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -138,9 +144,12 @@ _CSV_COLUMNS = (
 
 def _cmd_census(args) -> int:
     config = _experiment_config(args, "census")
-    report, rows = run_census(config, dump_rows=args.dump_csv is not None)
-    if args.dump_csv is not None:
-        with open(args.dump_csv, "w", newline="") as fh:
+    if args.dump_csv is None:
+        report, _ = run_census(config)
+    else:
+        # opened first, so an unwritable path fails before any system
+        with _open_output(args.dump_csv, newline="") as fh:
+            report, rows = run_census(config, dump_rows=True)
             writer = csv.writer(fh)
             writer.writerow(_CSV_COLUMNS)
             for idx, rep in rows:
@@ -169,9 +178,8 @@ def _cmd_selftest(args) -> int:
         # the large fields exercise the packed multiply (F_101^4) and
         # Euclid's inverse on a tower (F_4^10)
         for field in (field_make(7, 1), f4,
-                      ensure_min_size(field_make(101, 1),
-                                      MIN_RANDOMIZED_FIELD),
-                      ensure_min_size(f4, MIN_RANDOMIZED_FIELD)):
+                      extension_of(field_make(101, 1), 4),
+                      extension_of(f4, 10)):
             stream = HashStream("selftest", field.q)
             for _ in range(50):
                 a, b, c = (field.element_from_index(stream.randint(field.q))

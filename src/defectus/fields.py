@@ -10,8 +10,8 @@ base field of order Q, taken modulo a fixed monic irreducible mu, holds
 the element sum_j d_j t^j (t the class of X, d_j base-field elements)
 as the int sum_j d_j Q^j: the base-Q digits, little-endian, are the
 coefficients.  Bases are prime fields or extensions themselves (a tower
-over an extension), which is how the randomized tests obtain fields of
-size at least 2**20 over an arbitrary ground field.
+over an extension): ``extension_of`` builds F_{q^k} over any field, for
+point enumeration over F_{q^k} (``bounds``).
 
 The layout is sound because every step of it is a bijection that
 respects the F_p-vector space: digit j of an extension element is a
@@ -593,24 +593,3 @@ def extension_of(base: Field, degree: int, seed: int = 0,
         modulus = coeffs + (base.one,)
         if _upoly_is_irreducible(base, modulus):
             return _extension(base, degree, modulus)
-
-
-# the randomized cross-checks draw from a field of at least this size
-MIN_RANDOMIZED_FIELD = 1 << 20
-
-
-def ensure_min_size(field: Field, min_size: int) -> Field:
-    """``field`` itself when |field| >= min_size, otherwise the smallest
-    sufficient extension over it: ``extension_of``'s seed-0 tower, so
-    the same field always lifts to the same extension.
-
-    Elements of ``field`` are elements of the result as they stand.
-    """
-    if field.q >= min_size:
-        return field
-    m = 1
-    size = field.q
-    while size < min_size:
-        size *= field.q
-        m += 1
-    return extension_of(field, m)

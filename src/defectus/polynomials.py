@@ -466,14 +466,6 @@ class Poly:
                           separators=(",", ":")).encode()
 
 
-def canonical_digest(polys) -> int:
-    """64-bit key of a polynomial sequence: SHA-256 of canonical bytes."""
-    h = hashlib.sha256()
-    for f in polys:
-        h.update(f.canonical_bytes())
-    return int.from_bytes(h.digest()[:8], "big")
-
-
 # -- systems -------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -517,18 +509,24 @@ class PolySystem:
 
     @classmethod
     def from_json_dict(cls, field, obj, r=None, s=None, caps=None):
-        if "polys" not in obj:
+        # outside input: a wrong shape is a ValueError, never a TypeError
+        if not isinstance(obj, dict) or not isinstance(obj.get("polys"), list):
             raise ValueError("system file lacks a 'polys' list")
-        for key, given in (("r", r), ("s", s)):
-            if key in obj and given is not None and int(obj[key]) != given:
-                raise ValueError(f"system file '{key}' disagrees with flags")
-        if "d" in obj and caps is not None \
-                and tuple(int(x) for x in obj["d"]) != tuple(caps):
-            raise ValueError("system file 'd' disagrees with flags")
-        r = r if r is not None else int(obj["r"])
-        s = s if s is not None else int(obj["s"])
-        caps = tuple(caps) if caps is not None \
-            else tuple(int(x) for x in obj["d"])
+        try:
+            for key, given in (("r", r), ("s", s)):
+                if key in obj and given is not None \
+                        and int(obj[key]) != given:
+                    raise ValueError(
+                        f"system file '{key}' disagrees with flags")
+            if "d" in obj and caps is not None \
+                    and tuple(int(x) for x in obj["d"]) != tuple(caps):
+                raise ValueError("system file 'd' disagrees with flags")
+            r = r if r is not None else int(obj["r"])
+            s = s if s is not None else int(obj["s"])
+            caps = tuple(caps) if caps is not None \
+                else tuple(int(x) for x in obj["d"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed system header: {exc}") from exc
         polys = tuple(Poly.from_json_dict(field, p) for p in obj["polys"])
         return cls(field, r, s, caps, polys)
 

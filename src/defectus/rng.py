@@ -1,11 +1,13 @@
 """Counter-based deterministic random streams.
 
-Every source of randomness in the package (extension modulus search,
-system sampling, randomized dimension tests) draws from a SHA-256
-counter stream keyed by explicit integers/strings.  Unlike the stdlib
-Mersenne generator, the output is a pure function of the key with no
-hidden state shared between consumers, so results are identical across
-platforms, Python versions, process counts and scheduling orders.
+Every source of randomness in the package draws from a SHA-256 counter
+stream keyed by explicit integers/strings.  There are two: the seeded
+extension modulus search (``fields``) and system sampling
+(``experiment``); classification is exact and draws nothing.  Unlike
+the stdlib Mersenne generator, the output is a pure function of the key
+with no hidden state shared between consumers, so results are identical
+across platforms, Python versions, process counts and scheduling
+orders.
 """
 
 from __future__ import annotations

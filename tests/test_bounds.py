@@ -151,6 +151,27 @@ def test_enumeration_budget(f3):
         assert exc.required == 3 ** 39
 
 
+def test_enumeration_refuses_before_building_the_field(monkeypatch):
+    # a certain refusal must not pay for the extension's modulus search
+    import defectus.bounds as bmod
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("extension built for a refused enumeration")
+
+    monkeypatch.setattr(bmod, "extension_of", unbuilt)
+    monkeypatch.delenv("DEFECTUS_BUDGET", raising=False)
+    f101 = field_make(101, 1)
+    system = PolySystem(
+        f101, 3, 2, (1, 1),
+        (Poly.variable(f101, 3, 0), Poly.variable(f101, 3, 1)))
+    with pytest.raises(BudgetExceeded) as info:
+        enumerate_points(system, ext_degree=96)
+    exc = info.value
+    assert (exc.base, exc.exponent) == (101 ** 96, 3)
+    assert str(exc) == (f"point enumeration needs {101 ** 96}^3 "
+                        f"evaluations, budget is {1 << 20}")
+
+
 def test_budget_env_override(monkeypatch):
     from defectus.bounds import enumeration_budget
     monkeypatch.setenv("DEFECTUS_BUDGET", "12345")

@@ -1,8 +1,10 @@
+import ast
 import hashlib
 import json
 import pickle
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -10,8 +12,7 @@ from defectus import (
     CERTIFIED_IRREDUCIBLE, CERTIFIED_REDUCIBLE, BoundInputs, Poly, PolySystem,
     colon_ideal, fiber_dimension, field_make, find_reducibility_witness,
     ideal_dimension, initial_form_criterion, is_regular_sequence,
-    jacobian_minors, kollar_dimension_test, matrix_rank,
-    minor_combo_fiber_test, normal_form, prime_power_decompose,
+    jacobian_minors, matrix_rank, normal_form, prime_power_decompose,
     projective_dimension, sample_system, system_from_census_index,
 )
 import defectus.classify as clmod
@@ -21,6 +22,7 @@ from defectus.groebner import groebner
 from defectus.rng import HashStream
 
 from conftest import random_poly
+from randomized_checks import kollar_dimension_test, minor_combo_fiber_test
 
 
 def _system(field, caps, int_term_maps, r=3):
@@ -347,6 +349,31 @@ def test_minor_combo_one_sided(f101):
             assert got >= exact
     with pytest.raises(ValueError):
         minor_combo_fiber_test(system, 3)
+
+
+def test_package_stays_exact():
+    # the randomized checks and their field lift live in tests/ only,
+    # and classify draws no random numbers
+    package = Path(__file__).parent.parent / "src" / "defectus"
+    moved = {"kollar_dimension_test", "minor_combo_fiber_test",
+             "ensure_min_size", "MIN_RANDOMIZED_FIELD", "canonical_digest"}
+    for path in sorted(package.glob("*.py")):
+        defined = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                           ast.Store):
+                defined.add(node.id)
+        assert not defined & moved, (path.name, defined & moved)
+    tree = ast.parse((package / "classify.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert (node.module or "").rsplit(".", 1)[-1] != "rng"
+            assert all(alias.name != "rng" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            assert all(alias.name.rsplit(".", 1)[-1] != "rng"
+                       for alias in node.names)
 
 
 def test_classify_json_fields(f7):

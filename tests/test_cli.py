@@ -63,12 +63,38 @@ def test_classify_flag_mismatch(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_classify_malformed_file(tmp_path, capsys):
+@pytest.mark.parametrize("text", ["{not json", "5", '{"polys": 5}'],
+                         ids=["not-json", "scalar", "polys-scalar"])
+def test_classify_malformed_file(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
+    path.write_text(text)
     code, _, err = _run(capsys, "classify", "--q", "7", "--r", "3",
                         "--s", "2", "--d", "1,1", "--system", str(path))
-    assert code == 2 and err.startswith("error:")
+    assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+
+
+def test_unwritable_out_is_a_validation_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "bounds.json"
+    code, out, err = _run(capsys, "bounds", "--r", "3", "--s", "2",
+                          "--d", "2,2", "--q", "7", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_unwritable_csv_fails_before_the_census(tmp_path, capsys,
+                                                monkeypatch):
+    import defectus.cli as climod
+
+    def unrun(*args, **kwargs):
+        raise AssertionError("census ran before its CSV was opened")
+
+    monkeypatch.setattr(climod, "run_census", unrun)
+    target = tmp_path / "missing" / "rows.csv"
+    code, out, err = _run(capsys, "census", "--q", "2", "--r", "3",
+                          "--s", "2", "--d", "1,1", "--threads", "1",
+                          "--dump-csv", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_unknown_flag_is_error(capsys):

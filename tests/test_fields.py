@@ -1,10 +1,11 @@
 import pytest
 
 from defectus import (
-    ExtensionField, ensure_min_size, extension_of, field_make, is_prime,
-    prime_power_decompose,
+    ExtensionField, extension_of, field_make, is_prime, prime_power_decompose,
 )
 from defectus.rng import HashStream
+
+from randomized_checks import ensure_min_size
 
 
 def test_prime_field_basics(f7):

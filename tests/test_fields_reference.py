@@ -10,16 +10,12 @@ from itertools import product
 
 import pytest
 
-from defectus import (
-    ExtensionField, Poly, PrimeField, ensure_min_size, extension_of,
-    field_make,
-)
-from defectus.fields import (
-    MIN_RANDOMIZED_FIELD, TABLE_MAX, PackedField, TableField,
-)
+from defectus import ExtensionField, Poly, PrimeField, extension_of, field_make
+from defectus.fields import TABLE_MAX, PackedField, TableField
 from defectus.rng import HashStream
 
 import reference_fields as ref
+from randomized_checks import MIN_RANDOMIZED_FIELD, ensure_min_size
 
 
 def _reference_of(field):

@@ -13,10 +13,9 @@ from pathlib import Path
 import pytest
 
 import defectus
-from defectus import BoundInputs, ensure_min_size, field_make, sample_system
+from defectus import BoundInputs, extension_of, field_make, sample_system
 import defectus.classify as clmod
 from defectus.classify import classify
-from defectus.fields import MIN_RANDOMIZED_FIELD
 from defectus.rng import HashStream
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -68,8 +67,8 @@ def test_classify_builds_no_reduced_basis_at_q101(monkeypatch):
 @pytest.mark.parametrize("make", [
     lambda: field_make(2, 2),
     lambda: field_make(3, 2),
-    lambda: ensure_min_size(field_make(101, 1), MIN_RANDOMIZED_FIELD),
-    lambda: ensure_min_size(field_make(2, 2), MIN_RANDOMIZED_FIELD),
+    lambda: extension_of(field_make(101, 1), 4),
+    lambda: extension_of(field_make(2, 2), 10),
 ], ids=["F_4", "F_9", "F_101^4", "F_4^10"])
 def test_field_calls_are_counted_on_every_field_class(make):
     # --trace 1 wraps mul and inv on the field's own class
