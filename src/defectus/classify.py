@@ -16,14 +16,14 @@ The exact flags:
 * ``ideal_theoretic_ci``: regular sequence whose ideal is radical.
   Radicality for a complete intersection over the perfect ground field
   reduces to generic smoothness: the ideal is radical iff the locus
-  where the affine Jacobian drops rank has dimension < r - s.  The
-  fiber dimension bounds that locus.  At a point P = (1 : x) of
-  V(F^h), dF_i^h/dX_j = dF_i/dx_j for j >= 1, and Euler's identity
-  sum_j X_j dF_i^h/dX_j = d_i F_i^h vanishes at P (in every
-  characteristic; cap-relative homogenization keeps F_i^h homogeneous
-  of degree d_i).  So the X_0 column is -sum_j x_j times column j, and
-  the two Jacobians have the same rank at P: the affine rank-defect
-  locus is the fiber set off X_0 = 0, of dimension <= fiber_dim.
+  where the affine Jacobian drops rank has dimension < r - s.  At a
+  point P = (1 : x) of V(F^h), dF_i^h/dX_j = dF_i/dx_j for j >= 1, and
+  Euler's identity sum_j X_j dF_i^h/dX_j = d_i F_i^h vanishes at P (in
+  every characteristic; cap-relative homogenization keeps F_i^h
+  homogeneous of degree d_i).  So the X_0 column is -sum_j x_j times
+  column j, and the two Jacobians have the same rank at P: the affine
+  rank-defect locus is the fiber set off X_0 = 0, of dimension
+  <= fiber_dim.
 * ``fiber_dim``: projective dimension of the homogenized system
   together with all maximal minors of its Jacobian in X_0..X_r.  The
   thresholds fiber_dim >= r-s and >= r-s-1 are membership in the
@@ -39,11 +39,20 @@ every other result is the exact dimension.  The full ideal I_s is one
 floored Buchberger run, never reduced; a reduced basis is built only in
 the witness search, once an exact divisor needs its membership test.
 
-Stage order: the prefix dimensions, one homogenized Jacobian, the
-fiber dimension, then the rank-defect stage, which runs only on a
-regular sequence with fiber_dim >= r-s.  Below that, Euler's bound
-already puts the rank-defect locus under r-s, and ``ideal_theoretic_ci``
-equals ``regular_sequence``.  The witness search comes last.
+Stage order: the prefix dimensions, then one homogenized Jacobian and
+one floored Buchberger run on the fiber ideal J = (F^h, minors), cone
+floor 0, which yields both ``fiber_dim`` and the rank-defect dimension
+(``_fiber_dims``), then the witness search.  By Euler's argument above,
+the affine rank-defect locus is V(J) off X_0 = 0, a dense open part of
+V(J : X_0^infinity), so the two have one dimension.  J is homogeneous
+and X_0 is the cheapest grevlex variable, so striking the X_0 powers
+out of the leading monomials of a basis of J leaves generators of
+LT(J : X_0^infinity) (Bayer & Stillman, *Invent. Math.* 87, 1987;
+Eisenbud, *Commutative Algebra*, Prop. 15.12).  A run with
+fiber_dim >= 0 never stops early, so its leading monomials are those
+of a full basis, whose records are homogeneous.  A run that stops holds
+a unit record or a pure power of X_0; both reads then give -1, which is
+right, since the rank-defect locus lies inside the empty fiber set.
 
 Irreducibility is a certified trichotomy, not a decision procedure:
 a small singular locus (fiber_dim <= r-s-2 on a full-degree system
@@ -58,13 +67,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cache
-from itertools import combinations
 from typing import Optional
 
 from .fields import _digits
 from .groebner import (
     groebner, normal_form, projective_dimension,
-    _cone_to_projective, _dimension_floor, _exact_divide,
+    _cone_to_projective, _dimension_floor, _exact_divide, _floored_leads,
+    _independent_dim,
 )
 # not called here: bench/tracing.py wraps it; --trace 1 stops without it
 from .groebner import colon_ideal  # noqa: F401
@@ -147,48 +156,38 @@ def initial_form_criterion(system: PolySystem) -> bool:
     return projective_dimension(gb) == system.r - 1 - system.s
 
 
-def _homogenized_minors(system: PolySystem):
-    """(F^h, its C(r+1, s) Jacobian minors): one homogenization."""
-    homog = system.homogenized()
-    return homog, jacobian_minors(homog)
+def _fiber_dims(system: PolySystem) -> tuple:
+    """(fiber_dim, affine rank-defect dimension), both exact, one run.
 
-
-def _rank_defect_dimension(system: PolySystem, homog_minors=None) -> int:
-    """Dimension of V(F_s, all s-by-s affine Jacobian minors).
-
-    ``homog_minors`` is ``_homogenized_minors(system)``, computed here
-    when not given.  The affine minors are the C(r, s) homogenized ones
-    whose columns exclude X_0, dehomogenized, in the same column order:
-    at X_0 = 1, dF^h/dX_j is dF/dX_j, and X_0 -> 1 is a ring map.
-
-    Exact only above the floor r-s-1, the one threshold its callers
-    test: at or below it the result is some value <= r-s-1, because the
-    basis computation stops once its leading monomials force that bound.
+    The run is floored at cone dimension 0 (every cone of dimension <= 0
+    gives -1) on F^h and its homogenized minors in X_0..X_r.  The
+    rank-defect read strikes X_0 (bit r) out of every leading support:
+    V(J : X_0^infinity), the fiber set off X_0 = 0 (module docstring).
+    X_0 is then free, so that cone's dimension is one more than the
+    read over x_1..x_r alone, which is the projective dimension.
     """
-    r, s = system.r, system.s
-    _, minors = homog_minors or _homogenized_minors(system)
-    affine = [m.dehomogenize()
-              for m, cols in zip(minors, combinations(range(r + 1), s))
-              if r not in cols]
-    return _dimension_floor(list(system.polys) + affine, r - s - 1,
-                            system.field, r)
+    r = system.r
+    homog = system.homogenized()
+    support = _packing(r + 1).support
+    leads = {support(m) for m in _floored_leads(
+        homog + jacobian_minors(homog), 0, system.field, r + 1)}
+    return (_cone_to_projective(_independent_dim(leads, r + 1)),
+            _independent_dim({supp & ~(1 << r) for supp in leads}, r))
 
 
-def fiber_dimension(system: PolySystem, homog_minors=None) -> int:
+def _rank_defect_dimension(system: PolySystem) -> int:
+    """Dimension of V(F, all s-by-s affine Jacobian minors) in A^r; exact."""
+    return _fiber_dims(system)[1]
+
+
+def fiber_dimension(system: PolySystem) -> int:
     """Projective dimension of V(F^h, all homogenized Jacobian minors).
 
     This is the fiber of the incidence variety over the system; -1 when
     the homogenized system has no rank-defect zero in P^r.  Membership:
     pi(W_{r-s}) iff result >= r-s, pi(W_{r-s-1}) iff result >= r-s-1.
-    Exact: the affine cone is computed with floor 0, and every cone of
-    dimension <= 0 gives -1, so the basis computation may stop as soon
-    as each of X_0..X_r has a pure power among its leading monomials.
-    ``homog_minors`` is ``_homogenized_minors(system)``, computed here
-    when not given.
     """
-    homog, minors = homog_minors or _homogenized_minors(system)
-    return _cone_to_projective(
-        _dimension_floor(homog + minors, 0, system.field, system.r + 1))
+    return _fiber_dims(system)[0]
 
 
 @cache
@@ -286,15 +285,8 @@ def classify(system: PolySystem) -> ClassificationReport:
     stci = dims[-1] == r - s
     # not dims[-1] == -1: a unit ideal may stop on pure powers first
     b0 = all_full and dims[-1] <= r - s - 1
-    # one homogenization and one Jacobian per system: the rank-defect
-    # stage reads its affine minors off the homogenized ones that the
-    # fiber stage needs
-    homog_minors = _homogenized_minors(system)
-    fdim = fiber_dimension(system, homog_minors)
-    # Euler: the rank-defect locus is at most fdim-dimensional, so the
-    # stage runs only when the fiber leaves its answer open
-    itci = rs and (fdim <= r - s - 1 or _rank_defect_dimension(
-        system, homog_minors) <= r - s - 1)
+    fdim, rdim = _fiber_dims(system)
+    itci = rs and rdim <= r - s - 1
 
     if all_full and not b0 and fdim <= r - s - 2:
         irreducibility = CERTIFIED_IRREDUCIBLE

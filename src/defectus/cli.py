@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import nullcontext
 
 from .bounds import BoundInputs, BudgetExceeded, derive
 from .classify import classify
@@ -85,12 +86,7 @@ def _open_output(path: str, **kwargs):
 
 
 def _emit(obj, args) -> None:
-    text = _dumps(obj)
-    if args.out:
-        with _open_output(args.out) as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    args.stream.write(_dumps(obj))
 
 
 def _cmd_bounds(args) -> int:
@@ -295,8 +291,13 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    out = getattr(args, "out", None)
     try:
-        return args.fn(args)
+        # opened first, as a shell redirection would be: an unwritable
+        # path fails before any work
+        with _open_output(out) if out else nullcontext(sys.stdout) as fh:
+            args.stream = fh
+            return args.fn(args)
     except BudgetExceeded as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return 3

@@ -262,7 +262,8 @@ def _ranges(total: int, chunks: int):
 
 
 def _map_chunks(worker, jobs, threads: int):
-    workers = min(threads, len(jobs))
+    # --threads is outside input: never more processes than cores
+    workers = min(threads, len(jobs), default_threads())
     if workers <= 1:
         return [worker(j) for j in jobs]
     with multiprocessing.get_context("fork").Pool(workers) as pool:

@@ -47,13 +47,13 @@ above (Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*,
 ch. 9 sec. 3).  A unit record puts 1 in I, which forces the reduced
 basis {1} and the dimension -1.  A pure power of x_i keeps x_i out of
 every independent subset, so with pure powers of k distinct variables
-dim I <= n - k.  ``_dimension_floor(gens, floor, ...)`` stops on a
-unit record, or once n - k <= ``floor``; either way the dimension read
-off the partial basis is exact when it exceeds ``floor`` and <=
-``floor`` otherwise (dim <= 0 iff every variable has a pure power).  A
-run that never stops reads the dimension off the unreduced basis,
-whose leading monomials already generate LT(I), so the basis is never
-reduced.
+dim I <= n - k.  ``_floored_leads(gens, floor, ...)`` stops on a unit
+record, or once n - k <= ``floor``, and returns the leading monomials;
+the dimension read off them (``_dimension_floor``) is exact when it
+exceeds ``floor`` and <= ``floor`` otherwise (dim <= 0 iff every
+variable has a pure power).  A run that never stops returns the leading
+monomials of an unreduced basis, which already generate LT(I), so the
+basis is never reduced.
 """
 
 from __future__ import annotations
@@ -380,10 +380,11 @@ def _independent_dim(supports, n: int) -> int:
     ``supports`` are the variable bit masks of the leading monomials; an
     empty support (the monomial 1) excludes even the empty set: -1.
     """
-    for size, outside in _subset_masks(n):
-        if all(supp & outside for supp in supports):
-            return size
-    return -1
+    if 0 in supports:
+        return -1
+    # the empty subset (outside = every variable) meets each support
+    return next(size for size, outside in _subset_masks(n)
+                if all(supp & outside for supp in supports))
 
 
 def ideal_dimension(gb: GroebnerBasis) -> int:
@@ -397,16 +398,12 @@ def ideal_dimension(gb: GroebnerBasis) -> int:
     return _independent_dim(supports, gb.nvars)
 
 
-def _dimension_floor(gens: Sequence[Poly], floor: int, field: Field,
-                     nvars: int) -> int:
-    """Dimension of the ideal the generators span, exact above ``floor``.
+def _floored_leads(gens: Sequence[Poly], floor: int, field: Field,
+                   nvars: int) -> list:
+    """Packed leading monomials of a floored Buchberger run on ``gens``.
 
-    Returns the exact dimension when it exceeds ``floor`` and some value
-    <= ``floor`` otherwise (-1 for the unit ideal).  Buchberger stops on
-    a unit record, or once pure powers of nvars - ``floor`` variables
-    force the dimension down to ``floor``; a run that never stops reads
-    the dimension off the unreduced basis, whose leading monomials
-    already generate LT(I).
+    The run stops on a unit record, or once pure powers of nvars -
+    ``floor`` variables force the dimension down to ``floor``.
     """
     pk, key = _packing(nvars), _grevlex_packed(nvars)
     seed = [g.packed for g in gens if g.packed]
@@ -419,8 +416,18 @@ def _dimension_floor(gens: Sequence[Poly], floor: int, field: Field,
         pure |= 1 << var
         return nvars - pure.bit_count() <= floor
 
-    basis = _buchberger(seed, field, pk, key, stop)
-    return _independent_dim([pk.support(rec[1]) for rec in basis], nvars)
+    return [rec[1] for rec in _buchberger(seed, field, pk, key, stop)]
+
+
+def _dimension_floor(gens: Sequence[Poly], floor: int, field: Field,
+                     nvars: int) -> int:
+    """Dimension of the ideal the generators span, exact above ``floor``.
+
+    Some value <= ``floor`` otherwise (-1 for the unit ideal).
+    """
+    support = _packing(nvars).support
+    leads = _floored_leads(gens, floor, field, nvars)
+    return _independent_dim([support(m) for m in leads], nvars)
 
 
 def _cone_to_projective(cone: int) -> int:

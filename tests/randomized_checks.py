@@ -17,10 +17,9 @@ on the inputs alone.
 
 import hashlib
 
-from defectus.classify import _homogenized_minors
 from defectus.fields import Field, extension_of
 from defectus.groebner import _cone_to_projective, _dimension_floor
-from defectus.polynomials import Poly, PolySystem, embed_poly
+from defectus.polynomials import Poly, PolySystem, embed_poly, jacobian_minors
 from defectus.rng import HashStream
 
 # the randomized checks draw from a field of at least this size
@@ -99,7 +98,8 @@ def minor_combo_fiber_test(system: PolySystem, count: int,
     if count not in (1, 2):
         raise ValueError("count must be 1 or 2")
     field = system.field
-    homog, minors = _homogenized_minors(system)
+    homog = system.homogenized()
+    minors = jacobian_minors(homog)
     big = ensure_min_size(field, MIN_RANDOMIZED_FIELD)
     stream = HashStream("minor-combo", seed, canonical_digest(homog), count)
     lifted = [embed_poly(g, big) for g in homog]

@@ -18,7 +18,7 @@ from defectus import (
 import defectus.classify as clmod
 from defectus.classify import classify
 from defectus.experiment import census_size
-from defectus.groebner import groebner
+from defectus.groebner import _dimension_floor, groebner
 from defectus.rng import HashStream
 
 from conftest import random_poly
@@ -432,46 +432,57 @@ def test_classify_builds_one_jacobian_per_system(monkeypatch, f2):
     for n, system in enumerate(systems, start=1):
         regular += clmod.classify(system).regular_sequence
         assert len(calls) == n
-    assert regular  # the rank-defect stage ran on some of them
+    assert regular  # the rank-defect read decides itci on these
 
 
-def test_rank_defect_stage_runs_only_when_the_fiber_leaves_it_open(
-        monkeypatch, f2, f101):
-    # Euler puts the rank-defect locus inside the fiber set: below
-    # fiber_dim r-s the flag is known, and the stage must not run
-    calls = []
-    stage = clmod._rank_defect_dimension
+def test_classify_makes_one_fiber_run_per_system(monkeypatch, f2, f101):
+    # s floored prefix runs and one floored fiber run, which also yields
+    # the rank-defect dimension: no stage runs Buchberger of its own
+    import defectus.groebner as gbmod
 
-    def counted(system, *args):
-        calls.append(system)
-        return stage(system, *args)
+    runs = []
+    engine = gbmod._buchberger
 
-    monkeypatch.setattr(clmod, "_rank_defect_dimension", counted)
+    def counted(seed, field, pk, key, stop=None):
+        if stop is not None:
+            runs.append(stop)
+        return engine(seed, field, pk, key, stop)
 
-    def ran(system):
-        before = len(calls)
-        rep = clmod.classify(system)
-        n = len(calls) - before
-        assert n <= 1
-        if rep.fiber_dim <= system.r - system.s - 1 \
-                or not rep.regular_sequence:
-            assert not n
-        return n
+    monkeypatch.setattr(gbmod, "_buchberger", counted)
 
-    census = BoundInputs(3, 2, 2, (2, 1))
+    def check(system):
+        del runs[:]
+        clmod.classify(system)
+        assert len(runs) == system.s + 1
+
     draws = BoundInputs(3, 2, 101, (2, 2))
     for i in range(50):
-        ran(sample_system(draws, f101, HashStream("sample", 42, i)))
-    # the stage still runs where the fiber is large
-    assert sum(ran(system_from_census_index(census, f2, i))
-               for i in range(0, 16384, 97))
+        check(sample_system(draws, f101, HashStream("sample", 42, i)))
+    census = BoundInputs(3, 2, 2, (2, 1))
+    for i in range(0, 16384, 97):
+        check(system_from_census_index(census, f2, i))
+
+
+def test_rank_defect_read_below_the_fiber(f2):
+    # q=2, r=3, d=(2,2), census index 2134: F_1 = x_3 under cap 2 and
+    # F_2 = x_1x_3 + x_3^2 + x_2 + x_3.  The fiber set is a curve that
+    # lies in X_0 = 0, so the rank-defect locus is empty and the ideal
+    # is radical
+    system = system_from_census_index(BoundInputs(3, 2, 2, (2, 2)), f2, 2134)
+    x = [Poly.variable(f2, 3, i) for i in range(3)]
+    assert system.polys == (x[2], x[0] * x[2] + x[2] * x[2] + x[1] + x[2])
+    assert clmod._fiber_dims(system) == (1, -1)
+    rep = classify(system)
+    assert rep.fiber_dim == 1 and rep.ideal_theoretic_ci
 
 
 def _ungated_itci(system, rep):
-    # the stage run on every regular sequence, as before the fiber gate
+    # the affine route: a floored run on (F, affine Jacobian minors)
     r, s = system.r, system.s
-    return rep.regular_sequence and \
-        clmod._rank_defect_dimension(system) <= r - s - 1
+    polys = list(system.polys)
+    return rep.regular_sequence and _dimension_floor(
+        polys + jacobian_minors(polys), r - s - 1, system.field,
+        r) <= r - s - 1
 
 
 @pytest.mark.parametrize("q,r,d", [
@@ -487,7 +498,7 @@ def test_gated_itci_matches_the_rank_defect_stage(q, r, d):
         system = sample_system(inputs, field, HashStream("gate", q, r, i))
         if i % 2:
             # F_1 a product of two drawn linear forms, a square on every
-            # other one: uniform draws almost never leave the stage open
+            # other one: uniform draws almost never reach fiber_dim r-s
             g, h = sample_system(BoundInputs(r, 2, q, (1, 1)), field,
                                  HashStream("gate-planted", q, r, i)).polys
             f1 = g * (g if i % 4 == 1 else h)
@@ -496,7 +507,7 @@ def test_gated_itci_matches_the_rank_defect_stage(q, r, d):
         assert rep.ideal_theoretic_ci == _ungated_itci(system, rep)
         if rep.regular_sequence and rep.fiber_dim >= r - s:
             decided[rep.ideal_theoretic_ci] += 1
-    assert decided[False]  # the stage ran and found a non-radical ideal
+    assert decided[False]  # a large fiber over a non-radical ideal
 
 
 @pytest.mark.slow
@@ -536,7 +547,7 @@ def test_classify_homogenizes_once_per_system(monkeypatch, f2):
     for n, system in enumerate(systems, start=1):
         regular += clmod.classify(system).regular_sequence
         assert len(calls) == n * system.s
-    assert regular  # the rank-defect stage ran on some of them
+    assert regular  # the rank-defect read decides itci on these
 
 
 def test_report_pickles_unchanged(f7):

@@ -97,6 +97,25 @@ def test_unwritable_csv_fails_before_the_census(tmp_path, capsys,
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "2000"], ["census"]], ids=["sample", "census"])
+def test_unwritable_out_fails_before_the_run(tmp_path, capsys, monkeypatch,
+                                             argv):
+    import defectus.cli as climod
+
+    def unrun(*args, **kwargs):
+        raise AssertionError("ran before --out was opened")
+
+    monkeypatch.setattr(climod, "run_census", unrun)
+    monkeypatch.setattr(climod, "run_monte_carlo", unrun)
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = _run(capsys, *argv, "--q", "2", "--r", "3", "--s", "2",
+                          "--d", "2,1", "--threads", "2",
+                          "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_unknown_flag_is_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bounds", "--r", "3", "--s", "2", "--d", "2,2", "--q", "7",

@@ -1,12 +1,13 @@
 """The answer-driven stop: the engine hook and the floored dimension.
 
-The floored stages (``fiber_dimension`` with cone floor 0,
-``_rank_defect_dimension`` with floor r-s-1, and classify's prefix
-dimensions with floor r-s-1 behind ``in_B0`` and ``set_theoretic_ci``)
-are checked against the full route, a reduced basis read by
-``projective_dimension``, ``ideal_dimension`` and ``is_unit``.  The
-whole q=2, d=(2,1) census runs under the ``slow`` marker:
-``pytest -m slow``.
+The floored stages (the fiber run with cone floor 0, read twice for
+``fiber_dimension`` and ``_rank_defect_dimension``, and classify's
+prefix dimensions with floor r-s-1 behind ``in_B0`` and
+``set_theoretic_ci``) are checked against the full route, a reduced
+basis read by ``projective_dimension``, ``ideal_dimension`` and
+``is_unit``; the rank-defect read against the affine ideal (F, affine
+Jacobian minors).  The whole q=2, d=(2,1) census and a stride of the
+q=3, d=(2,1) census run under the ``slow`` marker: ``pytest -m slow``.
 """
 
 import pytest
@@ -51,7 +52,7 @@ def stops(monkeypatch):
 
 
 def _check_stages(system):
-    """Floored stages against the full bases; True if rank-defect <= floor."""
+    """Floored stages against the full bases; True if rank-defect <= r-s-1."""
     r, s, field = system.r, system.s, system.field
     homog = system.homogenized()
     full_fiber = projective_dimension(
@@ -61,18 +62,13 @@ def _check_stages(system):
     full_rd = ideal_dimension(groebner(gens, field=field, nvars=r))
     # Euler: the affine rank-defect locus is the fiber set off X_0 = 0
     assert full_rd <= full_fiber
-    floor = r - s - 1
-    got = clmod._rank_defect_dimension(system)
-    if full_rd > floor:
-        assert got == full_rd
-    else:
-        assert got <= floor
+    assert clmod._rank_defect_dimension(system) == full_rd
     # Krull: the floored full ideal decides emptiness and dimension r-s
     affine = groebner(list(system.polys), field=field, nvars=r)
     rep = clmod.classify(system)
     assert rep.in_B0 == (all(system.degree_full()) and affine.is_unit)
     assert rep.set_theoretic_ci == (ideal_dimension(affine) == r - s)
-    return full_rd <= floor
+    return full_rd <= r - s - 1
 
 
 @pytest.mark.parametrize("stride", [
@@ -81,6 +77,15 @@ def test_floored_stages_match_full_on_census(stride):
     field = field_make(2, 1)
     for idx in range(0, 2 ** 14, stride):
         _check_stages(system_from_census_index(_CENSUS, field, idx))
+
+
+@pytest.mark.slow
+def test_floored_stages_match_full_on_census_q3():
+    # q=3, d=(2,1): 3**14 systems; stride 157 keeps the run near a minute
+    field = field_make(3, 1)
+    inputs = BoundInputs(3, 2, 3, (2, 1))
+    for idx in range(0, 3 ** 14, 157):
+        _check_stages(system_from_census_index(inputs, field, idx))
 
 
 @pytest.mark.parametrize("q", [3, 4, 101])
@@ -113,13 +118,17 @@ def test_floored_stages_match_full_at_floor_one(q, d, stops):
 
 def test_floor_one_stop_fires_on_a_line(stops):
     # V(x1*x2, x3) in A^4 is two planes meeting in a line: the
-    # rank-defect locus V(x1, x2, x3) has dimension 1 = r-s-1, forced
-    # by the third pure power among x3, x2, x1 (x1 is variable 0)
+    # rank-defect locus V(x1, x2, x3) has dimension 1 = r-s-1; on the
+    # affine ideal at floor 1 it is forced by the third pure power among
+    # x3, x2, x1 (x1 is variable 0)
     field = field_make(7, 1)
     x = [Poly.variable(field, 4, i) for i in range(4)]
-    system = PolySystem(field, 4, 2, (2, 1), (x[0] * x[1], x[2]))
-    assert clmod._rank_defect_dimension(system) == 1
+    polys = [x[0] * x[1], x[2]]
+    affine = polys + jacobian_minors(polys)
+    assert gbmod._dimension_floor(affine, 1, field, 4) == 1
     assert stops == [0]
+    system = PolySystem(field, 4, 2, (2, 1), tuple(polys))
+    assert clmod._rank_defect_dimension(system) == 1
 
 
 def _hook_cases():

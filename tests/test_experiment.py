@@ -209,10 +209,14 @@ def test_threads_below_one_rejected():
         _mc_config(7, (2, 2), 3, threads=0)
 
 
-def test_pool_is_capped_at_the_chunk_count(monkeypatch):
-    # 64 threads, 3 samples: 3 chunks, so 3 workers are asked for; the
-    # fake pool maps in this process and starts none
+def _fake_pool(monkeypatch, cores):
+    """Record the worker count each Pool is asked for; map in this process.
+
+    ``default_threads`` reads ``cores``, so no real process is started
+    and the cap does not depend on the machine.
+    """
     import multiprocessing
+    import defectus.experiment as expmod
 
     requested = []
 
@@ -234,9 +238,24 @@ def test_pool_is_capped_at_the_chunk_count(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "get_context",
                         lambda method: FakeContext())
+    monkeypatch.setattr(expmod, "default_threads", lambda: cores)
+    return requested
+
+
+def test_pool_is_capped_at_the_chunk_count(monkeypatch):
+    # 64 threads on 64 cores, 3 samples: 3 chunks, so 3 workers
+    requested = _fake_pool(monkeypatch, 64)
     report = run_monte_carlo(_mc_config(7, (2, 2), 3, threads=64))
     assert requested == [3]
     assert report.counts.n == 3
+
+
+def test_pool_is_capped_at_the_machine(monkeypatch):
+    # 100000 threads, 40 samples: 40 chunks of one, but only 2 cores
+    requested = _fake_pool(monkeypatch, 2)
+    report = run_monte_carlo(_mc_config(7, (2, 2), 40, threads=100000))
+    assert requested == [2]
+    assert report.counts.n == 40
 
 
 def test_cp_closed_forms():
