@@ -39,9 +39,10 @@ every other result is the exact dimension.  The full ideal I_s is one
 floored Buchberger run, never reduced; a reduced basis is built only in
 the witness search, once an exact divisor needs its membership test.
 
-Stage order: the prefix dimensions, then one homogenized Jacobian and
-one floored Buchberger run on the fiber ideal J = (F^h, minors), cone
-floor 0, which yields both ``fiber_dim`` and the rank-defect dimension
+Stage order: the prefix dimensions, then one homogenized Jacobian and,
+unless a rank test settles an empty fiber (below), one floored
+Buchberger run on the fiber ideal J = (F^h, minors), cone floor 0,
+which yields both ``fiber_dim`` and the rank-defect dimension
 (``_fiber_dims``), then the witness search.  By Euler's argument above,
 the affine rank-defect locus is V(J) off X_0 = 0, a dense open part of
 V(J : X_0^infinity), so the two have one dimension.  J is homogeneous
@@ -53,6 +54,24 @@ fiber_dim >= 0 never stops early, so its leading monomials are those
 of a full basis, whose records are homogeneous.  A run that stops holds
 a unit record or a pure power of X_0; both reads then give -1, which is
 right, since the rank-defect locus lies inside the empty fiber set.
+
+Empty fibers first.  Over a prime field, when every generator of J has
+degree <= 2, ``_fiber_dims`` first asks ``resultant.fills_degree``
+whether the multiples of the generators span all forms of degree D,
+the least degree, at least each generator's, at which they are as many
+as the degree-D monomials.  If they do, every X_j^D lies in J, so the
+fiber set is empty and J : X_0^infinity is the unit ideal: (-1, -1),
+exactly what the floored run reads, with no run.  Otherwise the run
+goes on as above; the test only ever answers "empty".  It fills on
+most systems of the Monte Carlo and census shapes (394 of 400 q=101
+draws at r=3, d=(2,2)); on seeded draws at r=3 and 4 and on the whole
+q=2, d=(2,1) census it filled on every system with an empty fiber,
+except at q=2, r=4, d=(2,2), where it needs one degree more.  The gate
+keeps it off where it does not pay: with a cubic generator the least
+degree filled on none of 30 draws at q=101, r=3, d=(3,2) (1.0 ms spent
+before a 6.4 ms run), and the degree that does fill cost 9.9 ms (41 ms
+against a 23 ms run at d=(3,3)).  Its rows are ints mod p, which an
+extension field's elements are not.
 
 Irreducibility is a certified trichotomy, not a decision procedure:
 a small singular locus (fiber_dim <= r-s-2 on a full-degree system
@@ -81,6 +100,7 @@ from .polynomials import (
     Poly, PolySystem, _grevlex_packed, _packing, jacobian_minors,
     packed_monomials,
 )
+from .resultant import fills_degree
 
 CERTIFIED_IRREDUCIBLE = "CertifiedIrreducible"
 CERTIFIED_REDUCIBLE = "CertifiedReducible"
@@ -157,20 +177,29 @@ def initial_form_criterion(system: PolySystem) -> bool:
 
 
 def _fiber_dims(system: PolySystem) -> tuple:
-    """(fiber_dim, affine rank-defect dimension), both exact, one run.
+    """(fiber_dim, affine rank-defect dimension), both exact, <= 1 run.
 
-    The run is floored at cone dimension 0 (every cone of dimension <= 0
-    gives -1) on F^h and its homogenized minors in X_0..X_r.  The
-    rank-defect read strikes X_0 (bit r) out of every leading support:
-    V(J : X_0^infinity), the fiber set off X_0 = 0 (module docstring).
+    (-1, -1) with no run when J = (F^h, minors) fills its least degree
+    (``resultant.fills_degree``; prime fields and generators of degree
+    <= 2 only, see the module docstring).  The run is floored at cone
+    dimension 0 (every cone of dimension <= 0 gives -1) on F^h and its
+    homogenized minors in X_0..X_r.  The rank-defect read strikes X_0
+    (bit r) out of every leading support: V(J : X_0^infinity), the
+    fiber set off X_0 = 0 (module docstring).
     X_0 is then free, so that cone's dimension is one more than the
     read over x_1..x_r alone, which is the projective dimension.
     """
-    r = system.r
+    r, field = system.r, system.field
     homog = system.homogenized()
+    gens = homog + jacobian_minors(homog)
+    # the prime-field clause repeats what fills_degree requires (it
+    # raises on other fields) so that this one gate states the whole
+    # policy and an extension field never enters the test
+    if (field.q == field.p and all(g.degree() <= 2 for g in gens)
+            and fills_degree(gens, field)):
+        return -1, -1
     support = _packing(r + 1).support
-    leads = {support(m) for m in _floored_leads(
-        homog + jacobian_minors(homog), 0, system.field, r + 1)}
+    leads = {support(m) for m in _floored_leads(gens, 0, field, r + 1)}
     return (_cone_to_projective(_independent_dim(leads, r + 1)),
             _independent_dim({supp & ~(1 << r) for supp in leads}, r))
 

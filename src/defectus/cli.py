@@ -221,6 +221,27 @@ def _cmd_selftest(args) -> int:
         assert resultant_vanishes([Poly.zero(f101, 3)] + powers[1:],
                                   (2, 2, 2))
 
+    def fiber_rank_test():
+        from .polynomials import Poly, jacobian_minors
+        from .resultant import fills_degree
+        f101 = field_make(101, 1)
+
+        def fills(*int_term_maps):
+            system = PolySystem(f101, 3, 2, (2, 2), tuple(
+                Poly.from_int_terms(f101, 3, t) for t in int_term_maps))
+            homog = system.homogenized()
+            return fills_degree(homog + jacobian_minors(homog), f101)
+
+        sq = [tuple(2 if j == i else 0 for j in range(3)) for i in range(3)]
+        # a smooth complete intersection: the pencil of diag(1, 1, 1, -1)
+        # and diag(1, 2, 3, -4) has four distinct roots
+        assert fills({sq[0]: 1, sq[1]: 1, sq[2]: 1, (0, 0, 0): -1},
+                     {sq[0]: 1, sq[1]: 2, sq[2]: 3, (0, 0, 0): -4})
+        # the cone x1^2 + x2^2 = x3^2 and a quadric through its vertex:
+        # the vertex is a fiber point
+        assert not fills({sq[0]: 1, sq[1]: 1, sq[2]: -1},
+                         {sq[0]: 1, sq[1]: 2, sq[2]: 3, (1, 0, 0): 1})
+
     def linear_oracle_micro():
         inputs = BoundInputs(3, 2, 2, (1, 1))
         oracle = linear_census_oracle(inputs)
@@ -241,6 +262,7 @@ def _cmd_selftest(args) -> int:
     check("groebner basics", groebner_basics)
     check("macaulay normalization", resultant_normalization)
     check("macaulay vanishing", resultant_vanishing)
+    check("fiber rank test (q=101)", fiber_rank_test)
     check("linear census vs rank oracle (q=2)", linear_oracle_micro)
     check("thread-count determinism", determinism)
     return 1 if failures else 0

@@ -263,7 +263,7 @@ def _ranges(total: int, chunks: int):
 
 def _map_chunks(worker, jobs, threads: int):
     # --threads is outside input: never more processes than cores
-    workers = min(threads, len(jobs), default_threads())
+    workers = min(_workers(threads), len(jobs))
     if workers <= 1:
         return [worker(j) for j in jobs]
     with multiprocessing.get_context("fork").Pool(workers) as pool:
@@ -272,6 +272,11 @@ def _map_chunks(worker, jobs, threads: int):
 
 def default_threads() -> int:
     return os.cpu_count() or 1
+
+
+def _workers(threads: int) -> int:
+    """The processes a run of ``threads`` may use: at most the cores."""
+    return min(threads, default_threads())
 
 
 # -- interval and verdict machinery ---------------------------------------
@@ -427,8 +432,9 @@ def _run(config: ExperimentConfig, total: int, want_rows: bool):
     """
     check_bound_bits(config.inputs)
     t0 = time.time()
+    # four chunks per process that can run
     jobs = [(config, a, b, want_rows)
-            for a, b in _ranges(total, config.threads * 4)]
+            for a, b in _ranges(total, _workers(config.threads) * 4)]
     counts = OutcomeCounts.zero(config.inputs.s)
     rows = [] if want_rows else None
     for part_counts, part_rows in _map_chunks(_chunk, jobs, config.threads):

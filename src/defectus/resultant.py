@@ -14,6 +14,12 @@ below dim S_D = C(D + r - 1, r - 1).
 * A rank does not change under field extension, so the rank over F_q
   answers for the closure.
 
+``fills_degree`` is the same rank test for any number of forms, at the
+least degree D, at least each form's, where their multiples are at
+least as many as the degree-D monomials.  When they span S_D, every
+X_j^D lies in the ideal and the forms have no common projective zero.
+Unlike the square case, a short rank there proves nothing.
+
 ``resultant_value`` is the classical quotient: det(numerator) =
 Res * det(denominator) (``MacaulayMatrix``), normalized by
 Res(X_1^{d_1}, ..., X_r^{d_r}) = 1, where the numerator is the identity.
@@ -22,6 +28,7 @@ Res(X_1^{d_1}, ..., X_r^{d_r}) = 1, where the numerator is the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 
 from .fields import Field
@@ -58,7 +65,7 @@ def _setup(polys, degrees):
             raise ValueError("form degree disagrees with declared degree")
     crit = sum(d - 1 for d in degrees) + 1
     cols = _degree_block(r, crit)
-    col = {m: idx for idx, m in enumerate(cols)}
+    col = _columns(r, crit)
 
     def row(i, shift):
         """The row of x^shift * F_i, shift a packed monomial."""
@@ -73,6 +80,12 @@ def _setup(polys, degrees):
 def _degree_block(r, deg):
     """The packed degree-deg monomials in r variables, descending."""
     return packed_monomials(r, deg)[:comb(deg + r - 1, r - 1)]
+
+
+@cache
+def _columns(nvars, deg):
+    """The column of each packed degree-deg monomial in nvars variables."""
+    return {m: idx for idx, m in enumerate(_degree_block(nvars, deg))}
 
 
 def macaulay_build(polys, degrees) -> MacaulayMatrix:
@@ -154,6 +167,96 @@ def resultant_value(polys, degrees):
         return None
     num = determinant(mm.numerator, field)
     return field.mul(num, field.inv(den))
+
+
+def _least_degree(nvars, degs):
+    """(D, the number of multiples at D) for forms of degrees ``degs``:
+    D is the least degree, at least each of ``degs``, with at least as
+    many multiples v * g, deg v = D - deg g, as degree-D monomials.
+    With n >= nvars forms it exists: n * C(D - e + nvars - 1, nvars - 1)
+    over C(D + nvars - 1, nvars - 1) tends to n, e the largest degree.
+    """
+    deg = max(degs)
+    while True:
+        rows = sum(comb(deg - d + nvars - 1, nvars - 1) for d in degs)
+        if rows >= comb(deg + nvars - 1, nvars - 1):
+            return deg, rows
+        deg += 1
+
+
+def fills_degree(forms, field: Field) -> bool:
+    """True when the multiples of the forms span S_D, D as above.
+
+    Sound for emptiness: then every X_j^D lies in the ideal, so the
+    forms share no projective zero over the closure.  False at once for
+    fewer nonzero forms than variables: forms of positive degree then
+    share one (Krull), and D need not exist.  The field must be prime.
+    Rows are reduced one at a time; the test stops as soon as the rank
+    is full or the rows left cannot make it full.
+    """
+    if field.q != field.p:
+        raise ValueError("the rank test needs a prime field")
+    forms = [f for f in forms if not f.is_zero()]
+    if not forms or len(forms) < forms[0].nvars:
+        return False
+    nvars = forms[0].nvars
+    if any(not f.is_homogeneous() for f in forms):
+        raise ValueError("forms must be homogeneous")
+    degs = [f.degree() for f in forms]
+    deg, left = _least_degree(nvars, degs)
+    col = _columns(nvars, deg)
+    ncols = len(col)
+    reduce = _reduce_bits if field.p == 2 else _reduce_mod(field.p, ncols)
+    pivots = {}
+    for f, d in zip(forms, degs):
+        for v in _degree_block(nvars, deg - d):
+            left -= 1
+            reduce(f.packed, v, col, pivots)
+            if len(pivots) == ncols:
+                return True
+            if len(pivots) + left < ncols:
+                return False
+    return False
+
+
+def _reduce_bits(terms, shift, col, pivots):
+    """Reduce the row of x^shift * (the form with packed ``terms``) over
+    F_2 against ``pivots`` (leading bit -> bit mask of the columns
+    ``col``) and keep what is left as a new pivot."""
+    row = 0
+    for m in terms:
+        row |= 1 << col[m + shift]
+    while row:
+        lead = row.bit_length() - 1
+        piv = pivots.get(lead)
+        if piv is None:
+            pivots[lead] = row
+            return
+        row ^= piv
+
+
+def _reduce_mod(p, ncols):
+    """The reduction of ``_reduce_bits`` mod an odd prime p: a row is a
+    list of ints, reduced mod p only where a column is read; a pivot is
+    its leading column -> the (column, value) pairs of its tail, scaled
+    to a leading 1."""
+    def reduce(terms, shift, col, pivots):
+        dense = [0] * ncols
+        for m, c in terms.items():
+            dense[col[m + shift]] = c
+        for j in range(ncols):
+            c = dense[j] % p
+            if not c:
+                continue
+            piv = pivots.get(j)
+            if piv is None:
+                inv = pow(c, p - 2, p)
+                pivots[j] = [(k, x * inv % p) for k in range(j + 1, ncols)
+                             if (x := dense[k] % p)]
+                return
+            for k, x in piv:
+                dense[k] -= c * x
+    return reduce
 
 
 def resultant_vanishes(polys, degrees) -> bool:

@@ -437,23 +437,32 @@ def test_classify_builds_one_jacobian_per_system(monkeypatch, f2):
 
 def test_classify_makes_one_fiber_run_per_system(monkeypatch, f2, f101):
     # s floored prefix runs and one floored fiber run, which also yields
-    # the rank-defect dimension: no stage runs Buchberger of its own
+    # the rank-defect dimension: no stage runs Buchberger of its own.
+    # The fiber run is skipped when the fiber ideal fills its degree
     import defectus.groebner as gbmod
 
-    runs = []
-    engine = gbmod._buchberger
+    runs, filled = [], []
+    engine, fills = gbmod._buchberger, clmod.fills_degree
 
     def counted(seed, field, pk, key, stop=None):
         if stop is not None:
             runs.append(stop)
         return engine(seed, field, pk, key, stop)
 
+    def watched(forms, field):
+        filled.append(fills(forms, field))
+        return filled[-1]
+
     monkeypatch.setattr(gbmod, "_buchberger", counted)
+    monkeypatch.setattr(clmod, "fills_degree", watched)
+    seen = Counter()
 
     def check(system):
-        del runs[:]
+        del runs[:], filled[:]
         clmod.classify(system)
-        assert len(runs) == system.s + 1
+        assert len(filled) == 1
+        assert len(runs) == system.s + (not filled[0])
+        seen[filled[0]] += 1
 
     draws = BoundInputs(3, 2, 101, (2, 2))
     for i in range(50):
@@ -461,6 +470,23 @@ def test_classify_makes_one_fiber_run_per_system(monkeypatch, f2, f101):
     census = BoundInputs(3, 2, 2, (2, 1))
     for i in range(0, 16384, 97):
         check(system_from_census_index(census, f2, i))
+    assert seen[True] and seen[False]
+
+
+@pytest.mark.parametrize("q,d,called", [
+    (101, (3, 2), False), (4, (2, 2), False), (101, (2, 2), True)])
+def test_fiber_rank_test_is_gated(monkeypatch, q, d, called):
+    # a cubic generator of J (d_1 = 3), or an extension field: the
+    # fiber run decides alone
+    calls = []
+    monkeypatch.setattr(clmod, "fills_degree",
+                        lambda forms, field: calls.append(field))
+    field = field_make(*prime_power_decompose(q))
+    inputs = BoundInputs(3, 2, q, d)
+    for i in range(6):
+        clmod.classify(sample_system(inputs, field,
+                                     HashStream("gated", q, i)))
+    assert len(calls) == (6 if called else 0)
 
 
 def test_rank_defect_read_below_the_fiber(f2):

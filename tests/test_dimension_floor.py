@@ -6,7 +6,10 @@ prefix dimensions with floor r-s-1 behind ``in_B0`` and
 ``set_theoretic_ci``) are checked against the full route, a reduced
 basis read by ``projective_dimension``, ``ideal_dimension`` and
 ``is_unit``; the rank-defect read against the affine ideal (F, affine
-Jacobian minors).  The whole q=2, d=(2,1) census and a stride of the
+Jacobian minors).  Where the fiber ideal fills its degree
+(``resultant.fills_degree``), ``_fiber_dims`` makes no run, so the
+stop on the fiber ideal is watched by running ``_floored_leads`` on it
+directly.  The whole q=2, d=(2,1) census and a stride of the
 q=3, d=(2,1) census run under the ``slow`` marker: ``pytest -m slow``.
 """
 
@@ -93,9 +96,13 @@ def test_floored_stages_match_full_on_draws(q, stops):
     field = _field(q)
     inputs = BoundInputs(3, 2, q, (2, 2))
     for i in range(25):
-        _check_stages(sample_system(inputs, field,
-                                    HashStream("floor-draws", q, i)))
-    # cone floor 0 and rank-defect floor 0 both stop on pure powers
+        system = sample_system(inputs, field, HashStream("floor-draws", q, i))
+        _check_stages(system)
+        # the engine on the fiber ideal itself: classify skips the run
+        # where the rank test fills, which is on most of these draws
+        homog = system.homogenized()
+        gbmod._floored_leads(homog + jacobian_minors(homog), 0, field, 4)
+    # cone floor 0 stops on pure powers
     assert any(var >= 0 for var in stops)
 
 
@@ -110,7 +117,8 @@ def test_floored_stages_match_full_at_floor_one(q, d, stops):
         system = sample_system(inputs, field, HashStream("floor-one", q, i))
         at_floor += _check_stages(system)
         del stops[:]
-        clmod._rank_defect_dimension(system)
+        homog = system.homogenized()
+        gbmod._floored_leads(homog + jacobian_minors(homog), 0, field, 5)
         early += any(var >= 0 for var in stops)
     assert at_floor
     assert early

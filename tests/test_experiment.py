@@ -210,7 +210,8 @@ def test_threads_below_one_rejected():
 
 
 def _fake_pool(monkeypatch, cores):
-    """Record the worker count each Pool is asked for; map in this process.
+    """Record the worker count each Pool is asked for and the number of
+    jobs it maps, as (processes, jobs); map in this process.
 
     ``default_threads`` reads ``cores``, so no real process is started
     and the cap does not depend on the machine.
@@ -222,7 +223,7 @@ def _fake_pool(monkeypatch, cores):
 
     class FakePool:
         def __init__(self, processes):
-            requested.append(processes)
+            self.processes = processes
 
         def __enter__(self):
             return self
@@ -231,6 +232,7 @@ def _fake_pool(monkeypatch, cores):
             return False
 
         def map(self, fn, jobs):
+            requested.append((self.processes, len(jobs)))
             return [fn(j) for j in jobs]
 
     class FakeContext:
@@ -246,15 +248,16 @@ def test_pool_is_capped_at_the_chunk_count(monkeypatch):
     # 64 threads on 64 cores, 3 samples: 3 chunks, so 3 workers
     requested = _fake_pool(monkeypatch, 64)
     report = run_monte_carlo(_mc_config(7, (2, 2), 3, threads=64))
-    assert requested == [3]
+    assert requested == [(3, 3)]
     assert report.counts.n == 3
 
 
 def test_pool_is_capped_at_the_machine(monkeypatch):
-    # 100000 threads, 40 samples: 40 chunks of one, but only 2 cores
+    # 100000 threads, 40 samples, but only 2 cores: 2 workers and four
+    # chunks each, not 40 chunks of one
     requested = _fake_pool(monkeypatch, 2)
     report = run_monte_carlo(_mc_config(7, (2, 2), 40, threads=100000))
-    assert requested == [2]
+    assert requested == [(2, 8)]
     assert report.counts.n == 40
 
 

@@ -1,15 +1,21 @@
 import ast
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from defectus import (
-    Poly, determinant, field_make, macaulay_build, matrix_rank,
-    projective_dimension, resultant_value, resultant_vanishes,
+    BoundInputs, Poly, PolySystem, determinant, field_make, jacobian_minors,
+    macaulay_build, matrix_rank, projective_dimension, resultant_value,
+    resultant_vanishes, sample_system, system_from_census_index,
 )
+import defectus.classify as clmod
+import defectus.resultant as resmod
+from defectus.experiment import census_size
 from defectus.groebner import _dimension_floor, groebner
 from defectus.polynomials import monomials_exact
+from defectus.resultant import fills_degree
 from defectus.rng import HashStream
 
 from conftest import random_poly
@@ -175,6 +181,93 @@ def test_rank_test_matches_groebner_emptiness():
     # the quotient formula would not apply to these: the rank test must
     # decide them on its own
     assert degenerate >= 200
+
+
+# -- the fiber rank test -------------------------------------------------
+
+def test_fills_degree_examples(f2, f101):
+    for field in (f2, f101):
+        x = [Poly.variable(field, 3, i) for i in range(3)]
+        # no common zero: S_4 has no monomial with every exponent <= 1
+        assert fills_degree([v * v for v in x], field)
+        # X_1 = X_2 = 0 kills all three products: common zero (0:0:1)
+        assert not fills_degree(
+            [x[0] * x[1], x[0] * x[2], x[1] * x[2]], field)
+        # mixed degrees, D = 2: the linear forms' multiples and X_3^2
+        assert fills_degree([x[0], x[1], x[2] * x[2]], field)
+        assert not fills_degree([x[0], x[1], x[1] * x[2]], field)
+        with pytest.raises(ValueError):
+            fills_degree([x[0] + x[1] * x[1], x[1], x[2]], field)
+    with pytest.raises(ValueError):
+        fills_degree([Poly.variable(field_make(2, 2), 1, 0)],
+                     field_make(2, 2))
+
+
+def test_fills_degree_needs_as_many_forms_as_variables(monkeypatch, f101):
+    # fewer nonzero forms than variables share a projective zero; the
+    # degree search would never end on them
+    def no_search(nvars, degs):
+        raise AssertionError("degree search")
+
+    monkeypatch.setattr(resmod, "_least_degree", no_search)
+    x = [Poly.variable(f101, 3, i) for i in range(3)]
+    zero = Poly.zero(f101, 3)
+    assert not fills_degree([x[0] * x[0]], f101)
+    assert not fills_degree([zero] * 5, f101)
+    assert not fills_degree([x[0] * x[0], zero, zero, x[1] * x[1]], f101)
+    assert not fills_degree([], f101)
+
+
+def _fiber_ideal(system):
+    homog = system.homogenized()
+    return homog + jacobian_minors(homog)
+
+
+def test_fill_means_the_floored_run_reads_empty(monkeypatch):
+    # wherever the test fills, classify's floored run on the same fiber
+    # ideal reads (-1, -1); odd draws plant F_1 = g*h, whose fiber holds
+    # V(g, h, F_2) and is never empty
+    monkeypatch.setattr(clmod, "fills_degree", lambda forms, field: False)
+    filled = Counter()
+    for q in (2, 3, 5, 101):
+        field = field_make(q, 1)
+        for r, d in ((3, (2, 2)), (4, (2, 2)), (4, (2, 1))):
+            inputs = BoundInputs(r, len(d), q, d)
+            for i in range(12):
+                system = sample_system(inputs, field,
+                                       HashStream("fill", q, r, *d, i))
+                if i % 2:
+                    g, h = sample_system(
+                        BoundInputs(r, 2, q, (1, 1)), field,
+                        HashStream("fill-planted", q, r, *d, i)).polys
+                    system = PolySystem(field, r, len(d), d,
+                                        (g * h,) + system.polys[1:])
+                hit = fills_degree(_fiber_ideal(system), field)
+                if hit:
+                    assert clmod._fiber_dims(system) == (-1, -1), \
+                        (q, r, d, i)
+                filled[q, r, d, hit] += 1
+    cases = {key[:3] for key in filled}
+    assert all(filled[case + (False,)] for case in cases)
+    # q=2, r=4, d=(2,2) did not fill at its least degree on any draw:
+    # in characteristic 2 the quadrics' Euler sums vanish
+    assert all(filled[case + (True,)] for case in cases
+               if case != (2, 4, (2, 2)))
+
+
+@pytest.mark.slow
+def test_fill_means_the_floored_run_reads_empty_on_census(monkeypatch, f2):
+    # the whole q=2, d=(2,1) census; here the test also fills on every
+    # system whose fiber is empty
+    monkeypatch.setattr(clmod, "fills_degree", lambda forms, field: False)
+    inputs = BoundInputs(3, 2, 2, (2, 1))
+    filled = [0, 0]
+    for idx in range(census_size(inputs)):
+        system = system_from_census_index(inputs, f2, idx)
+        hit = fills_degree(_fiber_ideal(system), f2)
+        assert hit == (clmod._fiber_dims(system) == (-1, -1)), idx
+        filled[hit] += 1
+    assert all(filled)
 
 
 def test_resultant_module_is_independent_of_groebner():
