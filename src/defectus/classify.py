@@ -90,15 +90,14 @@ from typing import Optional
 
 from .fields import _digits
 from .groebner import (
-    groebner, normal_form, projective_dimension,
+    groebner, normal_form,
     _cone_to_projective, _dimension_floor, _exact_divide, _floored_leads,
     _independent_dim,
 )
 # not called here: bench/tracing.py wraps it; --trace 1 stops without it
 from .groebner import colon_ideal  # noqa: F401
 from .polynomials import (
-    Poly, PolySystem, _grevlex_packed, _packing, jacobian_minors,
-    packed_monomials,
+    Poly, PolySystem, _packing, jacobian_minors, packed_monomials,
 )
 from .resultant import fills_degree
 
@@ -166,14 +165,15 @@ def initial_form_criterion(system: PolySystem) -> bool:
 
     Requires all degrees full.  True iff the initial forms cut the
     minimal possible dimension r-1-s in P^(r-1); this forces the
-    initial forms, hence the system, to be a regular sequence.  One
-    basis in r variables; sufficient, not necessary.
+    initial forms, hence the system, to be a regular sequence.  That
+    is a cone of dimension r-s in A^r, read off one floored run in r
+    variables (floor r-s-1, exact above it); sufficient, not necessary.
     """
     if not all(system.degree_full()):
         raise ValueError("initial-form criterion needs full degrees")
+    r, s = system.r, system.s
     inits = [f.initial_form(d) for f, d in zip(system.polys, system.caps)]
-    gb = groebner(inits, field=system.field, nvars=system.r)
-    return projective_dimension(gb) == system.r - 1 - system.s
+    return _dimension_floor(inits, r - s - 1, system.field, r) == r - s
 
 
 def _fiber_dims(system: PolySystem) -> tuple:
@@ -264,11 +264,11 @@ def find_reducibility_witness(system: PolySystem):
     """
     field, r, q = system.field, system.r, system.field.q
     gb = None
-    pk, key = _packing(r), _grevlex_packed(r)
+    pk = _packing(r)
 
     def quotient(num, div):
         try:
-            return _exact_divide(num, div, field, pk, key)
+            return _exact_divide(num, div, field, pk)
         except ArithmeticError:
             return None
 

@@ -449,15 +449,24 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1, exactly (integer Newton steps)."""
+    x = 1 << -(-n.bit_length() // k)   # at least the root
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def prime_power_decompose(q: int) -> tuple[int, int]:
     """Write q = p^k with p prime, or raise ValueError."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
     for k in range(q.bit_length(), 0, -1):
-        p = round(q ** (1.0 / k))
-        for cand in (p - 1, p, p + 1):
-            if cand >= 2 and cand ** k == q and is_prime(cand):
-                return cand, k
+        p = _iroot(q, k)
+        if p >= 2 and p ** k == q and is_prime(p):
+            return p, k
     raise ValueError(f"{q} is not a prime power")
 
 

@@ -5,13 +5,14 @@ criteria.  Each S-pair is ranked once, when it is formed, by the order
 key of its lcm and then by its indices, and waits in a heap; ranks are
 distinct, so the pop order is the order of a full scan for the
 smallest rank.  Normal forms take their leading monomials from a heap
-keyed by the negated order key.  The one public order is grevlex with
-the last variable cheapest (that is where homogenization puts X_0):
-``groebner``, ``normal_form``, ``ideal_dimension`` and the floored
-dimension all run on ``polynomials._grevlex_packed``.  The engine
-functions take the order as an int key next to the packing only so
-that ``colon_ideal`` can run them under its private block order, which
-eliminates an auxiliary last variable (``_elim_last_packed``).
+keyed by the negated order key.  The engine functions take one
+argument for the ring, the packing, and read the order off it as
+``pk.key``.  The one public order is grevlex with the last variable
+cheapest (that is where homogenization puts X_0): ``groebner``,
+``normal_form``, ``ideal_dimension`` and the floored dimension all run
+on ``polynomials._packing``.  The one other packing,
+``polynomials._elimination_packing``, is colon_ideal's private block
+order, which eliminates an auxiliary last variable.
 
 Records are monic (Cox, Little & O'Shea, *Ideals, Varieties, and
 Algorithms*, ch. 2).  A term map joins a basis as ``(terms, lm)``,
@@ -22,11 +23,11 @@ and inter-reduction keeps every leading coefficient one, so none of
 them inverts anything and the reduced basis needs no monic pass.
 
 The engine works on the packed term maps ``Poly.packed`` directly
-(Monagan & Pearce, CASC 2007; the layout, its order keys and the
-2**15 limit live in ``polynomials``): a product is an int add, a
-quotient an int subtract, divisibility one guard-bit test.  Any
-product or lcm the engine forms that reaches the packing limit raises
-ValueError instead of wrapping.  The only re-encoding is colon_ideal's
+(Monagan & Pearce, CASC 2007; the layout, the order key each packing
+carries and the 2**15 limit live in ``polynomials``): a product is an
+int add, a quotient an int subtract, divisibility one guard-bit test.
+Any product or lcm the engine forms that reaches the packing limit
+raises ValueError instead of wrapping.  The only re-encoding is colon_ideal's
 embedding into one more variable for the block order.
 
 Dimension is the combinatorial one: the size of a maximum subset of
@@ -58,14 +59,12 @@ basis is never reduced.
 
 from __future__ import annotations
 
-from functools import cache
 from heapq import heapify, heappop, heappush
-from itertools import combinations
 from typing import Sequence
 
 from .fields import Field
 from .polynomials import (
-    Poly, _elim_last_packed, _grevlex_packed, _overflow, _packing,
+    Poly, _elimination_packing, _overflow, _packing,
 )
 
 
@@ -95,12 +94,13 @@ class GroebnerBasis:
 
 # -- packed engine -------------------------------------------------------
 # A basis record is (terms_dict, leading_monomial), monic, every monomial
-# packed.  ``pk`` is the packing of the ring, ``key`` the order's int key
-# on it: grevlex, or the elimination key inside colon_ideal.
+# packed.  ``pk`` is the packing of the ring and carries the order as
+# ``pk.key``: grevlex, or the block order of ``_elimination_packing``
+# inside colon_ideal.
 
-def _record(terms, field, key):
+def _record(terms, field, pk):
     """The monic record of a nonzero term map; ``terms`` is not mutated."""
-    lm = max(terms, key=key)
+    lm = max(terms, key=pk.key)
     lc = terms[lm]
     if lc != field.one:
         inv, mul = field.inv(lc), field.mul
@@ -108,7 +108,7 @@ def _record(terms, field, key):
     return terms, lm
 
 
-def _normal_form(terms, records, field, pk, key):
+def _normal_form(terms, records, field, pk):
     """Full remainder of ``terms`` modulo the records (deterministic).
 
     ``work`` holds the coefficients; the heap holds each monomial pushed
@@ -116,7 +116,7 @@ def _normal_form(terms, records, field, pk, key):
     cancelled.  Reduction adds only monomials below the one it removes,
     so the heap yields the leading monomial of ``work`` every time.
     """
-    guard = pk.guard
+    guard, key = pk.guard, pk.key
     zero = field.zero
     rem = {}
     work = dict(terms)
@@ -178,20 +178,20 @@ def _s_poly(rec_i, rec_j, lcm, field, guard):
     return out
 
 
-def _buchberger(seed_terms, field, pk, key, stop=None):
+def _buchberger(seed_terms, field, pk, stop=None):
     """Unreduced basis of the seeds' ideal, as a list of monic records.
 
     ``stop(var)`` is called right after a record whose leading
     monomial is 1 (var -1) or a pure power of x_var joins the basis;
     when it returns true, the partial basis is returned as it stands.
     """
-    guard, lcm_of, power_var = pk.guard, pk.lcm, pk.power_var
+    guard, key, lcm_of, power_var = pk.guard, pk.key, pk.lcm, pk.power_var
     basis = []
     queue = []       # (key of the lcm, i, j, lcm), smallest rank first
     pending = set()  # the (i, j) in queue, for the chain criterion
 
     def add_record(terms):
-        rec = _record(terms, field, key)
+        rec = _record(terms, field, pk)
         new = len(basis)
         for t in range(new):
             lcm = lcm_of(basis[t][1], rec[1])
@@ -223,19 +223,19 @@ def _buchberger(seed_terms, field, pk, key, stop=None):
         if skip:
             continue
         rem = _normal_form(_s_poly(basis[i], basis[j], lcm, field, guard),
-                           basis, field, pk, key)
+                           basis, field, pk)
         if rem and add_record(rem):
             return basis
     return basis
 
 
-def _reduce_basis(basis, field, pk, key):
+def _reduce_basis(basis, field, pk):
     """Unique reduced form: minimal, inter-reduced, largest lead first.
 
     The records are monic, and inter-reduction keeps each leading term,
     so the result is monic as well.
     """
-    guard = pk.guard
+    guard, key = pk.guard, pk.key
     kept = []
     for rec in sorted(basis, key=lambda r: key(r[1])):
         probe = rec[1] + guard
@@ -244,7 +244,7 @@ def _reduce_basis(basis, field, pk, key):
     # one pass: leading monomials never change here, so a tail reduced
     # against them stays reduced
     for idx, (terms, lm) in enumerate(kept):
-        rem = _normal_form(terms, kept[:idx] + kept[idx + 1:], field, pk, key)
+        rem = _normal_form(terms, kept[:idx] + kept[idx + 1:], field, pk)
         if rem != terms:
             kept[idx] = (rem, lm)
     kept.reverse()
@@ -271,10 +271,10 @@ def groebner(gens: Sequence[Poly], field: Field = None,
                 raise ValueError("generators live in different rings")
     elif field is None or nvars is None:
         raise ValueError("empty generator list needs field and nvars")
-    pk, key = _packing(nvars), _grevlex_packed(nvars)
-    basis = _buchberger([g.packed for g in gens if g.packed], field, pk, key)
+    pk = _packing(nvars)
+    basis = _buchberger([g.packed for g in gens if g.packed], field, pk)
     polys = tuple(Poly.from_packed(field, nvars, t)
-                  for t, _ in _reduce_basis(basis, field, pk, key))
+                  for t, _ in _reduce_basis(basis, field, pk))
     return GroebnerBasis(field, nvars, polys)
 
 
@@ -282,21 +282,21 @@ def normal_form(f: Poly, gb: GroebnerBasis) -> Poly:
     """Remainder of multivariate division; zero iff f lies in the ideal."""
     if f.nvars != gb.nvars or f.field != gb.field:
         raise ValueError("polynomial not in the basis ring")
-    pk, key = _packing(gb.nvars), _grevlex_packed(gb.nvars)
-    records = [_record(g.packed, gb.field, key) for g in gb.gens]
-    rem = _normal_form(f.packed, records, gb.field, pk, key)
+    pk = _packing(gb.nvars)
+    records = [_record(g.packed, gb.field, pk) for g in gb.gens]
+    rem = _normal_form(f.packed, records, gb.field, pk)
     return Poly.from_packed(gb.field, gb.nvars, rem)
 
 
-def _exact_divide(num, div, field, pk, key):
+def _exact_divide(num, div, field, pk):
     """Quotient of an exact division of packed term maps by a monic one.
 
-    ``pk`` is the packing, ``key`` the order; raises ArithmeticError if
-    the division is inexact.  The smallest monomial of a product is the
-    product of the smallest ones, so a divisor whose smallest monomial
-    does not divide the numerator's is rejected before any arithmetic.
+    Raises ArithmeticError if the division is inexact.  The smallest
+    monomial of a product is the product of the smallest ones, so a
+    divisor whose smallest monomial does not divide the numerator's is
+    rejected before any arithmetic.
     """
-    guard = pk.guard
+    guard, key = pk.guard, pk.key
     if num and (min(num, key=key) + guard
                 - min(div, key=key)) & guard != guard:
         raise ArithmeticError("inexact division")
@@ -347,31 +347,21 @@ def colon_ideal(gb: GroebnerBasis, f: Poly) -> GroebnerBasis:
     mixed = {append(m, 0): c for m, c in f.packed.items()}
     mixed.update({append(m, 1): field.neg(c) for m, c in f.packed.items()})
     ext_gens.append(mixed)
-    epk, ekey = _packing(n + 1), _elim_last_packed(n + 1)
+    epk = _elimination_packing(n + 1)
     basis = _reduce_basis(
-        _buchberger([t for t in ext_gens if t], field, epk, ekey),
-        field, epk, ekey)
+        _buchberger([t for t in ext_gens if t], field, epk), field, epk)
     # under the block order, a t-free leading monomial forces the whole
     # element t-free, so these form a grevlex basis of I intersect (f)
-    pk, key = _packing(n), _grevlex_packed(n)
-    divisor = _record(f.packed, field, key)[0]
+    pk = _packing(n)
+    divisor = _record(f.packed, field, pk)[0]
     split_last = epk.split_last
     quotients = []
     for terms, lm in basis:
         if split_last(lm)[1] == 0:
             inter = {split_last(m)[0]: c for m, c in terms.items()}
             quotients.append(Poly.from_packed(
-                field, n, _exact_divide(inter, divisor, field, pk, key)))
+                field, n, _exact_divide(inter, divisor, field, pk)))
     return groebner(quotients, field=field, nvars=n)
-
-
-@cache
-def _subset_masks(n: int) -> tuple:
-    """(size, complement mask) of each subset of n variables, largest first."""
-    full = (1 << n) - 1
-    return tuple((size, full & ~sum(1 << i for i in subset))
-                 for size in range(n, -1, -1)
-                 for subset in combinations(range(n), size))
 
 
 def _independent_dim(supports, n: int) -> int:
@@ -379,12 +369,38 @@ def _independent_dim(supports, n: int) -> int:
 
     ``supports`` are the variable bit masks of the leading monomials; an
     empty support (the monomial 1) excludes even the empty set: -1.
+    A subset contains no support iff its complement meets every one, so
+    this is n minus the size of a smallest set of variables meeting
+    every support.  Depth first, that set grows one variable at a time,
+    a variable of a support it does not meet yet (the smallest such
+    support, so a pure power forces its variable), and a branch stops
+    once the supports left cannot beat the best size so far: pairwise
+    disjoint ones each need a variable of their own.
     """
     if 0 in supports:
         return -1
-    # the empty subset (outside = every variable) meets each support
-    return next(size for size, outside in _subset_masks(n)
-                if all(supp & outside for supp in supports))
+    best = n   # every variable meets every (nonempty) support
+
+    def grow(left, size):
+        nonlocal best
+        if not left:
+            best = size
+            return
+        need, seen = 0, 0
+        for supp in left:
+            if not supp & seen:
+                seen |= supp
+                need += 1
+        if size + need >= best:
+            return
+        supp = min(left, key=int.bit_count)
+        while supp:
+            var = supp & -supp
+            supp ^= var
+            grow([t for t in left if not t & var], size + 1)
+
+    grow(list(supports), 0)
+    return n - best
 
 
 def ideal_dimension(gb: GroebnerBasis) -> int:
@@ -393,8 +409,8 @@ def ideal_dimension(gb: GroebnerBasis) -> int:
     -1 for the unit ideal.  Computed as the largest variable subset S
     such that no leading monomial is supported inside S.
     """
-    pk, key = _packing(gb.nvars), _grevlex_packed(gb.nvars)
-    supports = [pk.support(max(g.packed, key=key)) for g in gb.gens]
+    pk = _packing(gb.nvars)
+    supports = [pk.support(max(g.packed, key=pk.key)) for g in gb.gens]
     return _independent_dim(supports, gb.nvars)
 
 
@@ -405,7 +421,7 @@ def _floored_leads(gens: Sequence[Poly], floor: int, field: Field,
     The run stops on a unit record, or once pure powers of nvars -
     ``floor`` variables force the dimension down to ``floor``.
     """
-    pk, key = _packing(nvars), _grevlex_packed(nvars)
+    pk = _packing(nvars)
     seed = [g.packed for g in gens if g.packed]
     pure = 0   # bit mask of the variables with a pure power so far
 
@@ -416,7 +432,7 @@ def _floored_leads(gens: Sequence[Poly], floor: int, field: Field,
         pure |= 1 << var
         return nvars - pure.bit_count() <= floor
 
-    return [rec[1] for rec in _buchberger(seed, field, pk, key, stop)]
+    return [rec[1] for rec in _buchberger(seed, field, pk, stop)]
 
 
 def _dimension_floor(gens: Sequence[Poly], floor: int, field: Field,

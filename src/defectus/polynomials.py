@@ -15,14 +15,20 @@ sits above them all.  The top bit of every field is a guard bit, clear
 in every valid monomial; G is the mask of all guard bits.  A product
 is a + b, a quotient b - a, and a divides b iff ((b + G - a) & G) == G.
 The lcm takes each field's larger value through the guard bits of
-a + G - b and recomputes the degree.  With L = 16*n, the grevlex key
-is ((M >> L) << (L + 1)) - M, i.e. the degree above the negated
-exponent fields; the elimination key puts the last exponent above the
-grevlex key of the rest.  Both are plain ints that sort exactly as the
-tuple keys (``grevlex_key``).  An exponent or degree of 2**15 or more
-does not fit: building such a polynomial, and any product,
+a + G - b and recomputes the degree.  An exponent or degree of 2**15
+or more does not fit: building such a polynomial, and any product,
 homogenization, lcm or reduction that would reach it, raises
 ValueError instead of wrapping.
+
+The order is stated once, as the ``key`` of a packing: an int sort
+key on packed monomials.  With L = 16*n, the grevlex key of
+``_packing(n)`` is ((M >> L) << (L + 1)) - M, i.e. the degree above
+the negated exponent fields.  ``_elimination_packing(n)``, the one
+other packing, keeps the layout and puts the last exponent above the
+grevlex key of the rest, for colon ideals.  Both sort exactly as the
+tuple keys of ``tests/reference_groebner.py``.  ``packed_monomials``
+is the one monomial enumerator, sorted by that key; ``monomials_upto``
+and ``monomials_exact`` unpack its list.
 
 Variable layout: an affine polynomial in r variables uses indices
 0..r-1 for X_1..X_r.  Homogenization appends the homogenizing variable
@@ -34,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from operator import lshift
 import hashlib
 import json
@@ -42,44 +48,6 @@ import json
 from .fields import Field
 
 NEG_INF = float("-inf")
-
-
-# -- monomials -----------------------------------------------------------
-
-def grevlex_key(e):
-    """Sort key: bigger key = bigger monomial under grevlex.
-
-    Degree first; ties broken so the monomial whose rightmost differing
-    exponent is smaller wins.  The last variable index is therefore the
-    cheapest, which is where homogenization puts X_0.
-    """
-    return (sum(e), tuple(-x for x in reversed(e)))
-
-
-def monomials_exact(nvars: int, degree: int):
-    """All degree-``degree`` monomials in ``nvars`` variables, descending."""
-    if degree < 0:
-        return []
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + (e,), remaining - e, slots - 1)
-
-    rec((), degree, nvars)
-    out.sort(key=grevlex_key, reverse=True)
-    return out
-
-
-def monomials_upto(nvars: int, degree: int):
-    """All monomials of degree <= ``degree``, descending grevlex."""
-    out = []
-    for d in range(degree, -1, -1):
-        out.extend(monomials_exact(nvars, d))
-    return out
 
 
 # -- packed monomials ----------------------------------------------------
@@ -94,10 +62,11 @@ def _overflow():
 
 
 class _Packing:
-    """The packed layout of monomials in ``nvars`` variables."""
+    """The packed layout of monomials in ``nvars`` variables, and its
+    order: ``key`` is an int sort key, bigger for a bigger monomial."""
 
-    __slots__ = ("nvars", "bits", "guard", "_shifts", "_exps", "_ones",
-                 "_top")
+    __slots__ = ("nvars", "bits", "guard", "key", "_shifts", "_exps",
+                 "_ones", "_top")
 
     def __init__(self, nvars: int):
         self.nvars = nvars
@@ -108,6 +77,9 @@ class _Packing:
         self._exps = sum((_LIMIT - 1) << s for s in self._shifts)
         self._ones = sum(1 << s for s in self._shifts)
         self._top = max(nvars - 1, 0) * _WIDTH  # shift of the last exponent
+        bits = self.bits
+        # grevlex: the degree above the negated exponent fields
+        self.key = lambda m: ((m >> bits) << (bits + 1)) - m
 
     def pack(self, e) -> int:
         """The packed monomial of an exponent vector, validated."""
@@ -162,35 +134,54 @@ class _Packing:
         return rest + (((m >> self.bits) - e) << self._top), e
 
 
-_packing = cache(_Packing)   # one packing per variable count
+_packing = cache(_Packing)   # one grevlex packing per variable count
 
 
 @cache
-def _grevlex_packed(nvars: int):
-    """Int sort key on packed monomials: the order of ``grevlex_key``."""
-    bits = nvars * _WIDTH
-    return lambda m: ((m >> bits) << (bits + 1)) - m
+def _elimination_packing(nvars: int) -> _Packing:
+    """The layout of ``_packing(nvars)`` under colon_ideal's block order:
+    the last exponent first, then grevlex on the rest.
 
-
-@cache
-def _elim_last_packed(nvars: int):
-    """Int sort key: the last exponent first, then grevlex on the rest."""
-    bits = nvars * _WIDTH
-    low = max(nvars - 1, 0) * _WIDTH
+    A separate object, so the cached grevlex packing of the same
+    variable count keeps its key.
+    """
+    pk = _Packing(nvars)
+    bits, low = pk.bits, pk._top
     rest = (1 << low) - 1
 
     def key(m):
         t = (m >> low) & _FIELD
         return (((t << _WIDTH) + (m >> bits) - t) << low) - (m & rest)
-    return key
+    pk.key = key
+    return pk
 
 
 @cache
 def packed_monomials(nvars: int, degree: int) -> tuple:
-    """``monomials_upto(nvars, degree)``, packed, in the same order."""
+    """Every packed monomial of degree <= ``degree``, descending grevlex.
+
+    The one monomial enumerator: the degrees come out highest first, so
+    the degree-``degree`` monomials lead.
+    """
     if degree >= _LIMIT:
         _overflow()
-    return tuple(map(_packing(nvars).pack, monomials_upto(nvars, degree)))
+    pk = _packing(nvars)
+    # a factor x_i adds one to its exponent field and one to the degree
+    units = [(1 << s) + (1 << pk.bits) for s in pk._shifts]
+    return tuple(sorted(
+        (sum(factors) for d in range(degree + 1)
+         for factors in combinations_with_replacement(units, d)),
+        key=pk.key, reverse=True))
+
+
+def monomials_upto(nvars: int, degree: int) -> list:
+    """All monomials of degree <= ``degree``, descending grevlex."""
+    return list(map(_packing(nvars).unpack, packed_monomials(nvars, degree)))
+
+
+def monomials_exact(nvars: int, degree: int) -> list:
+    """All degree-``degree`` monomials in ``nvars`` variables, descending."""
+    return [m for m in monomials_upto(nvars, degree) if sum(m) == degree]
 
 
 # -- polynomials ---------------------------------------------------------
@@ -277,13 +268,13 @@ class Poly:
         unpack = _packing(self.nvars).unpack
         packed = self.packed
         return [(unpack(m), packed[m])
-                for m in sorted(packed, key=_grevlex_packed(self.nvars),
+                for m in sorted(packed, key=_packing(self.nvars).key,
                                 reverse=True)]
 
     def _leading(self):
         if not self.packed:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.packed, key=_grevlex_packed(self.nvars))
+        return max(self.packed, key=_packing(self.nvars).key)
 
     def leading_monomial(self):
         return _packing(self.nvars).unpack(self._leading())

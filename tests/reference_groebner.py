@@ -1,19 +1,28 @@
 """Reference Buchberger engine on exponent tuples, with full scans.
 
-A self-contained oracle for ``defectus.groebner``: it shares none of the
-engine's code, only the definition of grevlex on exponent tuples
-(``polynomials.grevlex_key``).  The block order of colon ideals is
-defined here, as the tuple key ``elim_last_key``.  Monomials are
-tuples, each step scans every pending S-pair for the smallest (lcm key,
-i, j), and every reduction step scans the whole work polynomial for its
-leading monomial.  Records are monic, and the pair criteria, the
-reduction and the colon construction follow the same rules as the
-engine, so both build the same unreduced bases term by term, and the
-same reduced bases, remainders and colon ideals.  Term maps go in and
-come out as ``{exponent tuple: coefficient}``.
+A self-contained oracle for ``defectus.groebner``: it shares no code
+with the engine.  Both orders are defined here on exponent tuples,
+grevlex as ``grevlex_key`` and the block order of colon ideals as
+``elim_last_key``; the engine's int keys (``_packing(n).key`` and
+``_elimination_packing(n).key``) must sort exactly as these.
+Monomials are tuples, each step scans every pending S-pair for the
+smallest (lcm key, i, j), and every reduction step scans the whole
+work polynomial for its leading monomial.  Records are monic, and the
+pair criteria, the reduction and the colon construction follow the
+same rules as the engine, so both build the same unreduced bases term
+by term, and the same reduced bases, remainders and colon ideals.
+Term maps go in and come out as ``{exponent tuple: coefficient}``.
 """
 
-from defectus.polynomials import grevlex_key
+
+def grevlex_key(e):
+    """Sort key: bigger key = bigger monomial under grevlex.
+
+    Degree first; ties broken so the monomial whose rightmost differing
+    exponent is smaller wins.  The last variable index is therefore the
+    cheapest, which is where homogenization puts X_0.
+    """
+    return (sum(e), tuple(-x for x in reversed(e)))
 
 
 def elim_last_key(e):

@@ -444,10 +444,10 @@ def test_classify_makes_one_fiber_run_per_system(monkeypatch, f2, f101):
     runs, filled = [], []
     engine, fills = gbmod._buchberger, clmod.fills_degree
 
-    def counted(seed, field, pk, key, stop=None):
+    def counted(seed, field, pk, stop=None):
         if stop is not None:
             runs.append(stop)
-        return engine(seed, field, pk, key, stop)
+        return engine(seed, field, pk, stop)
 
     def watched(forms, field):
         filled.append(fills(forms, field))
@@ -588,8 +588,8 @@ def test_report_pickles_unchanged(f7):
 def _reference_witness(system, gb):
     # the enumeration on exponent tuples, with the reference division
     from defectus.classify import DEFAULT_WITNESS_BUDGET
-    from defectus.polynomials import grevlex_key, monomials_upto
-    from reference_groebner import exact_divide
+    from defectus.polynomials import monomials_upto
+    from reference_groebner import exact_divide, grevlex_key
     field, r = system.field, system.r
     for i, f in enumerate(system.polys, start=1):
         if f.is_zero() or f.degree() < 2:

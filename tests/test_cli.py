@@ -131,6 +131,17 @@ def test_bad_q_diagnostic(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+def test_huge_q(capsys):
+    # 3^700 is past the float range; 6^464 (1200 bits) is no prime power
+    code, out, err = _run(capsys, "bounds", "--r", "3", "--s", "2",
+                          "--d", "2,2", "--q", str(3 ** 700))
+    assert code == 0 and not err and '"applicable": true' in out
+    code, out, err = _run(capsys, "bounds", "--r", "3", "--s", "2",
+                          "--d", "2,2", "--q", str(6 ** 464))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_k_flag_validation(capsys):
     code, _, err = _run(capsys, "census", "--q", "4", "--r", "3", "--s", "2",
                         "--d", "1,1", "--k", "3", "--threads", "1")

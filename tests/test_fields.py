@@ -159,7 +159,12 @@ def test_prime_power_decompose():
     assert prime_power_decompose(8) == (2, 3)
     assert prime_power_decompose(27) == (3, 3)
     assert prime_power_decompose(1024) == (2, 10)
-    for bad in (1, 6, 12, 100):
+    # exact roots: past 2^53, and past the float range (2^1024)
+    big = 10**20 + 39
+    for k in (1, 2, 3):
+        assert prime_power_decompose(big ** k) == (big, k)
+    assert prime_power_decompose(3 ** 700) == (3, 700)
+    for bad in (1, 6, 12, 100, big * (big + 2), 6 ** 464):
         with pytest.raises(ValueError):
             prime_power_decompose(bad)
 

@@ -1,5 +1,14 @@
+import ast
+import os
+from pathlib import Path
+import random
+import resource
+import subprocess
+import sys
+
 import pytest
 
+import defectus
 from defectus import (
     Poly, colon_ideal, embed_poly, extension_of, field_make,
     ideal_dimension, monomials_upto, normal_form, projective_dimension,
@@ -12,11 +21,12 @@ from defectus.rng import HashStream
 import reference_groebner
 from conftest import random_poly
 
-# each int key of the engine on packed monomials, and the tuple key of
-# the same order: grevlex, and the block order private to colon_ideal
+# each packing of the engine, whose key is its order on packed
+# monomials, and the tuple key of the same order: grevlex, and the
+# block order private to colon_ideal
 ORDERS = {
-    "grevlex": (polymod._grevlex_packed, reference_groebner.grevlex_key),
-    "elim_last": (polymod._elim_last_packed,
+    "grevlex": (polymod._packing, reference_groebner.grevlex_key),
+    "elim_last": (polymod._elimination_packing,
                   reference_groebner.elim_last_key),
 }
 
@@ -158,6 +168,80 @@ def test_dimension_examples(f7):
     assert ideal_dimension(groebner([], field=f7, nvars=3)) == 3
 
 
+def test_independent_dim_matches_brute_force():
+    # every subset, largest first, against the pruned search
+    rng = random.Random(20)
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        supports = [rng.randint(1, (1 << n) - 1)
+                    for _ in range(rng.randint(0, 6))]
+        full = (1 << n) - 1
+        brute = max(bin(sub).count("1") for sub in range(1 << n)
+                    if all(supp & (full & ~sub) for supp in supports))
+        assert gbmod._independent_dim(supports, n) == brute
+        assert gbmod._independent_dim(supports + [0], n) == -1
+
+
+_MANY_VARIABLES = """
+import sys
+from defectus.cli import main
+from defectus.groebner import _independent_dim
+
+n = 40
+assert _independent_dim([], n) == 40
+assert _independent_dim([0b11 << i for i in range(0, n, 2)], n) == 20
+cycle = [1 << i | 1 << (i + 1) % n for i in range(n)]
+assert _independent_dim(cycle, n) == 20
+assert _independent_dim([1 << i for i in range(0, n, 3)], n) == 26
+sys.exit(main(["sample", "--q", "2", "--r", "30", "--s", "2",
+               "--d", "1,1", "--n", "20", "--threads", "1", "--no-meta"]))
+"""
+
+
+def test_independent_dim_in_many_variables_under_a_memory_cap():
+    # a table of all 2^n variable subsets would pass the cap many times
+    # over (n = 31 in the fiber run at r = 30); the search needs no table
+    cap = 512 << 20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(defectus.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _MANY_VARIABLES], preexec_fn=limit,
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert '"n": 20' in done.stdout
+
+
+def test_order_is_stated_once():
+    # the packing carries the order: no module defines a key of its own,
+    # and no engine function takes one beside the packing
+    package = Path(defectus.__file__).parent
+    gone = {"grevlex_key", "_grevlex_packed", "_elim_last_packed"}
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                assert node.name not in gone, (path.name, node.name)
+            elif isinstance(node, ast.Assign):
+                names = {t.id for t in node.targets
+                         if isinstance(t, ast.Name)}
+                assert not names & gone, (path.name, names)
+    tree = ast.parse(Path(gbmod.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            args = node.args.posonlyargs + node.args.args \
+                + node.args.kwonlyargs
+            assert "key" not in {a.arg for a in args}, \
+                getattr(node, "name", "lambda")
+    # colon's packing is an object of its own: the cached grevlex
+    # packing of the same ring keeps its key
+    epk, pk = polymod._elimination_packing(3), polymod._packing(3)
+    assert epk is not pk and epk.key is not pk.key
+
+
 def test_dimension_field_extension_invariance(f3):
     f9 = extension_of(f3, 2, 0)
     stream = HashStream("dim-ext")
@@ -218,7 +302,7 @@ def test_projective_dimension_is_cone_minus_one(f5):
 
 def test_basis_gens_are_monic_and_sorted(f7):
     stream = HashStream("monic")
-    from defectus.polynomials import grevlex_key
+    from reference_groebner import grevlex_key
     for _ in range(10):
         gens = [random_poly(f7, 3, 2, stream) for _ in range(2)]
         if all(g.is_zero() for g in gens):
@@ -242,9 +326,10 @@ def test_basis_gens_are_monic_and_sorted(f7):
 def test_inverted_key_reverses_order(order, nvars):
     # the heaps push -key(m) on packed monomials: -key(a) < -key(b)
     # must hold exactly when b < a in the order
-    packed_key, tuple_key = ORDERS[order]
+    packing, tuple_key = ORDERS[order]
     mons = monomials_upto(nvars, 4)
-    pk, key = polymod._packing(nvars), packed_key(nvars)
+    pk = packing(nvars)
+    key = pk.key
     packed = {m: pk.pack(m) for m in mons}
     assert len({tuple_key(m) for m in mons}) == len(mons)
     assert len({-key(packed[m]) for m in mons}) == len(mons)
@@ -261,8 +346,8 @@ def test_packed_monomials_match_tuples(nvars):
     packed = [pk.pack(m) for m in mons]
     assert [pk.unpack(m) for m in packed] == mons
     assert len(set(packed)) == len(mons)
-    for packed_key, tuple_key in ORDERS.values():
-        key = packed_key(nvars)
+    for packing, tuple_key in ORDERS.values():
+        key = packing(nvars).key
         keys = [key(m) for m in packed]
         assert all(isinstance(k, int) for k in keys)
         assert len(set(keys)) == len(mons)
@@ -294,14 +379,14 @@ def test_records_are_monic_with_one_inverse_each(p, k, monkeypatch):
         return inv(self, a)
 
     monkeypatch.setattr(type(field), "inv", counted)
-    pk, key = polymod._packing(3), polymod._grevlex_packed(3)
+    pk = polymod._packing(3)
     stream = HashStream("monic-records", field.q)
     grown = 0
     for _ in range(20):
         seeds = [random_poly(field, 3, 2, stream).packed for _ in range(3)]
         seeds = [t for t in seeds if t]
         del calls[:]
-        basis = gbmod._buchberger(seeds, field, pk, key)
+        basis = gbmod._buchberger(seeds, field, pk)
         assert len(calls) <= len(basis)
         assert all(terms[lm] == field.one for terms, lm in basis)
         grown += len(basis) > len(seeds)
@@ -320,20 +405,20 @@ def test_reduce_basis_inter_reduces_once(p, k, monkeypatch):
         calls.append(args[0])
         return normal_form_of(*args)
 
-    pk, key = polymod._packing(3), polymod._grevlex_packed(3)
+    pk = polymod._packing(3)
     stream = HashStream("reduce-once", field.q)
     changed = 0
     for _ in range(20):
         seeds = [random_poly(field, 3, 2, stream).packed for _ in range(3)]
-        basis = gbmod._buchberger([t for t in seeds if t], field, pk, key)
+        basis = gbmod._buchberger([t for t in seeds if t], field, pk)
         monkeypatch.setattr(gbmod, "_normal_form", counted)
         del calls[:]
-        reduced = gbmod._reduce_basis(basis, field, pk, key)
+        reduced = gbmod._reduce_basis(basis, field, pk)
         monkeypatch.setattr(gbmod, "_normal_form", normal_form_of)
         assert len(calls) == len(reduced)
         for terms, lm in reduced:  # no term but the lead is reducible
             others = [rec for rec in reduced if rec[1] != lm]
-            assert normal_form_of(terms, others, field, pk, key) == terms
+            assert normal_form_of(terms, others, field, pk) == terms
         changed += any(t is not terms for t, (terms, _) in
                        zip(calls, reversed(reduced)))
     assert changed  # some tails did need reducing
@@ -365,11 +450,11 @@ def test_packing_overflow_in_computation_raises(f7):
     x, y = (Poly.variable(f7, 2, i) for i in range(2))
     xh = Poly(f7, 2, {(half, 0): 1})
     yh = Poly(f7, 2, {(0, half): 1})
-    pk, elim = polymod._packing(2), polymod._elim_last_packed(2)
+    epk = polymod._elimination_packing(2)
 
     def eliminate(gens):  # the engine under colon_ideal's block order
-        basis = gbmod._buchberger([g.packed for g in gens], f7, pk, elim)
-        return gbmod._reduce_basis(basis, f7, pk, elim)
+        basis = gbmod._buchberger([g.packed for g in gens], f7, epk)
+        return gbmod._reduce_basis(basis, f7, epk)
 
     with pytest.raises(ValueError, match="packing limit"):
         groebner([xh + y, yh + x])            # the pair's lcm
@@ -405,21 +490,21 @@ def test_engine_matches_scan_reference(p, k):
 
     for gens, probe in cases:
         seeds = [dict(g.terms) for g in gens]
-        for order, (packed_key, tuple_key) in ORDERS.items():
-            key = packed_key(3)
+        for order, (packing, tuple_key) in ORDERS.items():
+            opk = packing(3)
             raw = gbmod._buchberger(
                 [{pk.pack(m): c for m, c in t.items()} for t in seeds],
-                field, pk, key)
+                field, opk)
             ref_raw = reference_groebner.buchberger_scan(seeds, field,
                                                          tuple_key)
             assert [unpacked(t) for t, _ in raw] == \
                 [items(t) for t, _ in ref_raw]
-            reduced = gbmod._reduce_basis(raw, field, pk, key)
+            reduced = gbmod._reduce_basis(raw, field, opk)
             ref_gb = reference_groebner.reduce_basis(ref_raw, field,
                                                      tuple_key)
             assert [unpacked(t) for t, _ in reduced] == \
                 [items(t) for t in ref_gb]
-            rem = gbmod._normal_form(probe.packed, reduced, field, pk, key)
+            rem = gbmod._normal_form(probe.packed, reduced, field, opk)
             ref_rem = reference_groebner.normal_form_scan(
                 probe.terms,
                 [reference_groebner.record(t, field, tuple_key)

@@ -5,10 +5,10 @@ from defectus import (
     NEG_INF, Poly, PolySystem, field_make, jacobian_minors,
     monomials_exact, monomials_upto,
 )
-from defectus.polynomials import grevlex_key
 from defectus.rng import HashStream
 
 from conftest import random_point, random_poly
+from reference_groebner import grevlex_key
 
 
 def _poly_strategy(field, nvars=3, max_degree=2):
@@ -22,11 +22,15 @@ def _poly_strategy(field, nvars=3, max_degree=2):
     )
 
 
-def test_monomial_order_is_graded(f5):
-    mons = monomials_upto(3, 3)
-    degs = [sum(m) for m in mons]
-    assert degs == sorted(degs, reverse=True)
-    assert len(set(mons)) == len(mons)
+def test_monomial_order_is_graded():
+    # every exponent vector, sorted by the reference key: the engine's
+    # enumerator must give exactly that list, degree by degree
+    every = [(a, b, c) for a in range(4) for b in range(4)
+             for c in range(4) if a + b + c <= 3]
+    expected = sorted(every, key=grevlex_key, reverse=True)
+    assert monomials_upto(3, 3) == expected
+    for d in range(4):
+        assert monomials_exact(3, d) == [m for m in expected if sum(m) == d]
     # grevlex tie-break: the rightmost differing exponent decides
     assert grevlex_key((1, 1, 0)) > grevlex_key((1, 0, 1))
     assert grevlex_key((2, 0, 0)) > grevlex_key((1, 1, 0))
