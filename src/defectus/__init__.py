@@ -1,8 +1,9 @@
 """defectus: defective polynomial systems over finite fields.
 
 Exact classification (complete-intersection and irreducibility
-defects), Macaulay resultants, closed-form bound evaluation, and a
-seeded census / Monte Carlo harness that verifies the bounds.
+defects), Macaulay's rank test for common projective zeros,
+closed-form bound evaluation, and a seeded census / Monte Carlo
+harness that verifies the bounds.
 
 The package re-exports neither ``classify`` nor ``groebner``, so
 ``defectus.classify`` and ``defectus.groebner`` are the modules; import
@@ -35,10 +36,7 @@ from .polynomials import (
     NEG_INF, Poly, PolySystem, embed_poly, jacobian, jacobian_minors,
     monomials_exact, monomials_upto,
 )
-from .resultant import (
-    MacaulayMatrix, determinant, macaulay_build, matrix_rank,
-    resultant_value, resultant_vanishes,
-)
+from .resultant import matrix_rank, resultant_vanishes
 from .rng import HashStream
 
 __version__ = "0.1.0"

@@ -252,7 +252,9 @@ def decimal_string(fr: Fraction) -> str:
         return "0"
     sign = "-" if fr < 0 else ""
     num, den = abs(fr.numerator), fr.denominator
-    exp = len(str(num)) - len(str(den))
+    # within one of the decimal exponent, and no str() of a number that
+    # may run past the interpreter's int-to-str digit limit
+    exp = math.floor((num.bit_length() - den.bit_length()) * math.log10(2))
     for _ in range(3):
         shift = sig - 1 - exp
         if shift >= 0:

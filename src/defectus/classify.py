@@ -70,8 +70,8 @@ except at q=2, r=4, d=(2,2), where it needs one degree more.  The gate
 keeps it off where it does not pay: with a cubic generator the least
 degree filled on none of 30 draws at q=101, r=3, d=(3,2) (1.0 ms spent
 before a 6.4 ms run), and the degree that does fill cost 9.9 ms (41 ms
-against a 23 ms run at d=(3,3)).  Its rows are ints mod p, which an
-extension field's elements are not.
+against a 23 ms run at d=(3,3)).  The test itself runs over any field;
+the gate keeps extension fields out until their gain is measured.
 
 Irreducibility is a certified trichotomy, not a decision procedure:
 a small singular locus (fiber_dim <= r-s-2 on a full-degree system
@@ -180,21 +180,20 @@ def _fiber_dims(system: PolySystem) -> tuple:
     """(fiber_dim, affine rank-defect dimension), both exact, <= 1 run.
 
     (-1, -1) with no run when J = (F^h, minors) fills its least degree
-    (``resultant.fills_degree``; prime fields and generators of degree
-    <= 2 only, see the module docstring).  The run is floored at cone
-    dimension 0 (every cone of dimension <= 0 gives -1) on F^h and its
-    homogenized minors in X_0..X_r.  The rank-defect read strikes X_0
-    (bit r) out of every leading support: V(J : X_0^infinity), the
-    fiber set off X_0 = 0 (module docstring).
+    (``resultant.fills_degree``; asked only over prime fields and when
+    every generator has degree <= 2, see the module docstring).  The
+    run is floored at cone dimension 0 (every cone of dimension <= 0
+    gives -1) on F^h and its homogenized minors in X_0..X_r.  The
+    rank-defect read strikes X_0 (bit r) out of every leading support:
+    V(J : X_0^infinity), the fiber set off X_0 = 0 (module docstring).
     X_0 is then free, so that cone's dimension is one more than the
     read over x_1..x_r alone, which is the projective dimension.
     """
     r, field = system.r, system.field
     homog = system.homogenized()
     gens = homog + jacobian_minors(homog)
-    # the prime-field clause repeats what fills_degree requires (it
-    # raises on other fields) so that this one gate states the whole
-    # policy and an extension field never enters the test
+    # the whole policy of the rank test: fills_degree answers over any
+    # field, but over an extension field it has not been measured to pay
     if (field.q == field.p and all(g.degree() <= 2 for g in gens)
             and fills_degree(gens, field)):
         return -1, -1

@@ -14,7 +14,7 @@ import argparse
 import csv
 import json
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 
 from .bounds import BoundInputs, BudgetExceeded, derive
 from .classify import classify
@@ -41,8 +41,31 @@ def _parse_d(text: str):
         raise ValueError(f"--d must be a comma list of integers: {text!r}")
 
 
+@contextmanager
+def _whole_ints():
+    """Lift the interpreter's int/str digit limit: exact bounds such as
+    count_B1, and q itself, can run past it."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit before 3.10.7
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _whole_int(text: str) -> int:
+    with _whole_ints():
+        try:
+            return int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _add_shape_flags(sub):
-    sub.add_argument("--q", type=int, required=True,
+    sub.add_argument("--q", type=_whole_int, required=True,
                      help="field order (a prime power)")
     sub.add_argument("--r", type=int, required=True, help="ambient dimension")
     sub.add_argument("--s", type=int, required=True, help="system length")
@@ -65,16 +88,9 @@ def _field_from_flags(args):
 
 
 def _dumps(obj) -> str:
-    """Report text with every int printed whole: exact bounds such as
-    count_B1 can run past the interpreter's int-to-str digit limit."""
-    if not hasattr(sys, "set_int_max_str_digits"):  # no limit before 3.10.7
+    """Report text with every int printed whole."""
+    with _whole_ints():
         return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def _open_output(path: str, **kwargs):
@@ -197,16 +213,19 @@ def _cmd_selftest(args) -> int:
         assert colon_ideal(gb, x1) == groebner([x1, x2])
         assert ideal_dimension(groebner([x1, x2])) == 1
 
-    def resultant_normalization():
-        from .resultant import resultant_value
+    def rank_test_f4():
         from .polynomials import Poly
-        f101 = field_make(101, 1)
-        mono = [
-            Poly.from_int_terms(
-                f101, 3, {tuple(2 if j == i else 0 for j in range(3)): 1})
-            for i in range(3)
-        ]
-        assert resultant_value(mono, (2, 2, 2)) == f101.one
+        from .resultant import matrix_rank, resultant_vanishes
+        f4 = field_make(2, 2, 0)
+        x = [Poly.variable(f4, 3, i) for i in range(3)]
+        assert not resultant_vanishes([v * v for v in x], (2, 2, 2))
+        assert resultant_vanishes([x[0] * x[1], x[0] * x[2], x[1] * x[2]],
+                                  (2, 2, 2))
+        # row 3 = row 1 + t^2 * row 2 (t = 2, t^2 = 3, t^3 = 1): neither
+        # bit masks nor ints mod 2 see this dependency
+        rows = [[1, 2, 0], [0, 1, 2], [1, 1, 1]]
+        assert matrix_rank(rows, f4) == 2
+        assert matrix_rank(rows[:2] + [[0, 0, 1]], f4) == 3
 
     def resultant_vanishing():
         from .resultant import resultant_vanishes
@@ -260,7 +279,7 @@ def _cmd_selftest(args) -> int:
 
     check("field axioms (F_7, F_4, F_101^4, F_4^10)", field_axioms)
     check("groebner basics", groebner_basics)
-    check("macaulay normalization", resultant_normalization)
+    check("rank test (F_4)", rank_test_f4)
     check("macaulay vanishing", resultant_vanishing)
     check("fiber rank test (q=101)", fiber_rank_test)
     check("linear census vs rank oracle (q=2)", linear_oracle_micro)

@@ -1,4 +1,4 @@
-"""Macaulay resultants for square homogeneous systems.
+"""Macaulay's rank test for homogeneous forms.
 
 Let F_1..F_r be forms in r variables of degrees d_1..d_r, D =
 sum(d_i - 1) + 1 the critical degree, S_D the degree-D forms and
@@ -20,38 +20,23 @@ least as many as the degree-D monomials.  When they span S_D, every
 X_j^D lies in the ideal and the forms have no common projective zero.
 Unlike the square case, a short rank there proves nothing.
 
-``resultant_value`` is the classical quotient: det(numerator) =
-Res * det(denominator) (``MacaulayMatrix``), normalized by
-Res(X_1^{d_1}, ..., X_r^{d_r}) = 1, where the numerator is the identity.
+One eliminator serves both tests and ``matrix_rank``: rows are reduced
+one at a time against the pivots found so far (``_reducer``, one kind
+per field), and a spanning test stops as soon as the rank is full or
+the rows left cannot make it full.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import comb
 
 from .fields import Field
-from .polynomials import _packing, packed_monomials
-
-
-@dataclass(frozen=True)
-class MacaulayMatrix:
-    """The Macaulay quotient: rows and columns are indexed by the
-    degree-D monomials; the row of u is (u / X_i^{d_i}) * F_i for the
-    first i with X_i^{d_i} | u, one of the rank test's multiples; the
-    denominator keeps the u divisible by two or more X_i^{d_i}."""
-
-    degrees: tuple
-    critical_degree: int
-    monomials: tuple
-    numerator: tuple
-    denominator: tuple
+from .polynomials import packed_monomials
 
 
 def _setup(polys, degrees):
-    """Validate a square system: (degrees, D, the packed degree-D
-    monomials, and the builder of the multiples' rows over them)."""
+    """Validate a square system: (degrees, the critical degree D)."""
     degrees = tuple(int(d) for d in degrees)
     r = len(polys)
     if r == 0 or any(f.nvars != r for f in polys):
@@ -63,18 +48,7 @@ def _setup(polys, degrees):
             raise ValueError("forms must be homogeneous")
         if not f.is_zero() and f.degree() != d:
             raise ValueError("form degree disagrees with declared degree")
-    crit = sum(d - 1 for d in degrees) + 1
-    cols = _degree_block(r, crit)
-    col = _columns(r, crit)
-
-    def row(i, shift):
-        """The row of x^shift * F_i, shift a packed monomial."""
-        out = [polys[i].field.zero] * len(cols)
-        for m, c in polys[i].packed.items():
-            out[col[m + shift]] = c
-        return tuple(out)
-
-    return degrees, crit, cols, row
+    return degrees, sum(d - 1 for d in degrees) + 1
 
 
 def _degree_block(r, deg):
@@ -88,85 +62,10 @@ def _columns(nvars, deg):
     return {m: idx for idx, m in enumerate(_degree_block(nvars, deg))}
 
 
-def macaulay_build(polys, degrees) -> MacaulayMatrix:
-    degrees, crit, cols, row = _setup(polys, degrees)
-    r = len(degrees)
-    pk = _packing(r)
-    powers = [pk.pack(tuple(d if j == i else 0 for j in range(r)))
-              for i, d in enumerate(degrees)]   # X_i^{d_i}
-    mons = tuple(map(pk.unpack, cols))
-    num_rows, keep = [], []
-    for idx, u in enumerate(mons):
-        owners = [i for i, d in enumerate(degrees) if u[i] >= d]
-        i = owners[0]  # pigeonhole: every degree-crit monomial has one
-        if len(owners) > 1:
-            keep.append(idx)
-        num_rows.append(row(i, cols[idx] - powers[i]))
-    den_rows = tuple(tuple(num_rows[i][j] for j in keep) for i in keep)
-    return MacaulayMatrix(degrees, crit, mons, tuple(num_rows), den_rows)
-
-
-def _forward_eliminate(rows, field: Field):
-    """Gaussian elimination to row echelon form over the field: the
-    pivot values in order (their count is the rank) and whether an odd
-    number of row swaps was made."""
-    mat = [list(r) for r in rows]
-    zero, mul, sub = field.zero, field.mul, field.sub
-    nrows = len(mat)
-    pivots, odd = [], False
-    for col in range(len(mat[0]) if mat else 0):
-        rank = len(pivots)
-        if rank == nrows:
-            break
-        pivot = next(
-            (r for r in range(rank, nrows) if mat[r][col] != zero), None)
-        if pivot is None:
-            continue
-        if pivot != rank:
-            mat[rank], mat[pivot] = mat[pivot], mat[rank]
-            odd = not odd
-        row_p = mat[rank]
-        pinv = field.inv(row_p[col])
-        # sparse rows: only the pivot row's nonzeros (all at col or later)
-        support = [(c, v) for c, v in enumerate(row_p) if v != zero]
-        for r in range(rank + 1, nrows):
-            factor = mat[r][col]
-            if factor == zero:
-                continue
-            factor = mul(factor, pinv)
-            row_r = mat[r]
-            for c, v in support:
-                row_r[c] = sub(row_r[c], mul(factor, v))
-        pivots.append(row_p[col])
-    return pivots, odd
-
-
-def determinant(rows, field: Field):
-    """Exact determinant: the signed product of the elimination pivots."""
-    pivots, odd = _forward_eliminate(rows, field)
-    if len(pivots) < len(rows):
-        return field.zero
-    det = field.neg(field.one) if odd else field.one
-    for pval in pivots:
-        det = field.mul(det, pval)
-    return det
-
-
-def matrix_rank(rows, field: Field) -> int:
-    return len(_forward_eliminate(rows, field)[0])
-
-
-def resultant_value(polys, degrees):
-    """Res as det(numerator)/det(denominator); None when the
-    denominator vanishes, where the quotient formula does not apply
-    (``resultant_vanishes`` still decides such a system)."""
-    mm = macaulay_build(polys, degrees)
-    field = polys[0].field
-    den = determinant(mm.denominator, field)
-    if den == field.zero:
-        return None
-    num = determinant(mm.numerator, field)
-    return field.mul(num, field.inv(den))
+def _multiples(nvars, degs, deg):
+    """The number of multiples v * g, deg v = deg - deg g, of forms of
+    degrees ``degs``."""
+    return sum(comb(deg - d + nvars - 1, nvars - 1) for d in degs)
 
 
 def _least_degree(nvars, degs):
@@ -178,10 +77,30 @@ def _least_degree(nvars, degs):
     """
     deg = max(degs)
     while True:
-        rows = sum(comb(deg - d + nvars - 1, nvars - 1) for d in degs)
+        rows = _multiples(nvars, degs, deg)
         if rows >= comb(deg + nvars - 1, nvars - 1):
             return deg, rows
         deg += 1
+
+
+def _spans(forms, degs, deg, rows, field: Field) -> bool:
+    """True when the multiples v * f, deg v = deg - deg f, of the forms
+    (of degrees ``degs``; ``rows`` of them in all) span S_deg.  Stops as
+    soon as the rank is full or the rows left cannot make it full."""
+    nvars = forms[0].nvars
+    col = _columns(nvars, deg)
+    ncols = len(col)
+    reduce = _reducer(field, ncols)
+    pivots = {}
+    for f, d in zip(forms, degs):
+        for v in _degree_block(nvars, deg - d):
+            rows -= 1
+            reduce(f.packed, v, col, pivots)
+            if len(pivots) == ncols:
+                return True
+            if len(pivots) + rows < ncols:
+                return False
+    return False
 
 
 def fills_degree(forms, field: Field) -> bool:
@@ -190,39 +109,58 @@ def fills_degree(forms, field: Field) -> bool:
     Sound for emptiness: then every X_j^D lies in the ideal, so the
     forms share no projective zero over the closure.  False at once for
     fewer nonzero forms than variables: forms of positive degree then
-    share one (Krull), and D need not exist.  The field must be prime.
-    Rows are reduced one at a time; the test stops as soon as the rank
-    is full or the rows left cannot make it full.
+    share one (Krull), and D need not exist.
     """
-    if field.q != field.p:
-        raise ValueError("the rank test needs a prime field")
     forms = [f for f in forms if not f.is_zero()]
     if not forms or len(forms) < forms[0].nvars:
         return False
-    nvars = forms[0].nvars
     if any(not f.is_homogeneous() for f in forms):
         raise ValueError("forms must be homogeneous")
     degs = [f.degree() for f in forms]
-    deg, left = _least_degree(nvars, degs)
-    col = _columns(nvars, deg)
-    ncols = len(col)
-    reduce = _reduce_bits if field.p == 2 else _reduce_mod(field.p, ncols)
+    deg, rows = _least_degree(forms[0].nvars, degs)
+    return _spans(forms, degs, deg, rows, field)
+
+
+def resultant_vanishes(polys, degrees) -> bool:
+    """True iff Res = 0, i.e. the forms share a projective zero over the
+    algebraic closure: Macaulay's rank test (see the module docstring)."""
+    degrees, crit = _setup(polys, degrees)
+    rows = _multiples(len(degrees), degrees, crit)
+    return not _spans(polys, degrees, crit, rows, polys[0].field)
+
+
+def matrix_rank(rows, field: Field) -> int:
+    """The rank of a matrix given as a list of rows of field elements."""
+    ncols = len(rows[0]) if rows else 0
+    reduce = _reducer(field, ncols)
     pivots = {}
-    for f, d in zip(forms, degs):
-        for v in _degree_block(nvars, deg - d):
-            left -= 1
-            reduce(f.packed, v, col, pivots)
-            if len(pivots) == ncols:
-                return True
-            if len(pivots) + left < ncols:
-                return False
-    return False
+    for row in rows:
+        reduce({j: v for j, v in enumerate(row) if v != field.zero}, 0,
+               range(ncols), pivots)
+        if len(pivots) == ncols:
+            break
+    return len(pivots)
+
+
+def _reducer(field: Field, ncols):
+    """``reduce(terms, shift, col, pivots)``: reduce the row of x^shift *
+    (the form with packed ``terms``) over ``field``, its entries in the
+    columns ``col`` of ``ncols``, against ``pivots`` (leading column ->
+    pivot row) and keep what is left as a new pivot.  F_2 rows are bit
+    masks under XOR; other prime fields' rows are ints reduced mod p
+    only where a column is read; any other field goes through its own
+    ``mul``, ``sub`` and ``inv`` (F_4's elements are ints, but its
+    product is not XOR)."""
+    if field.q == 2:
+        return _reduce_bits
+    if field.q == field.p:
+        return _reduce_mod(field.p, ncols)
+    return _reduce_field(field, ncols)
 
 
 def _reduce_bits(terms, shift, col, pivots):
-    """Reduce the row of x^shift * (the form with packed ``terms``) over
-    F_2 against ``pivots`` (leading bit -> bit mask of the columns
-    ``col``) and keep what is left as a new pivot."""
+    """The reduction over F_2: a row is the bit mask of its columns, a
+    pivot is keyed by its leading bit."""
     row = 0
     for m in terms:
         row |= 1 << col[m + shift]
@@ -236,10 +174,9 @@ def _reduce_bits(terms, shift, col, pivots):
 
 
 def _reduce_mod(p, ncols):
-    """The reduction of ``_reduce_bits`` mod an odd prime p: a row is a
-    list of ints, reduced mod p only where a column is read; a pivot is
-    its leading column -> the (column, value) pairs of its tail, scaled
-    to a leading 1."""
+    """The reduction mod a prime p: a row is a list of ints, reduced mod
+    p only where a column is read; a pivot is its leading column -> the
+    (column, value) pairs of its tail, scaled to a leading 1."""
     def reduce(terms, shift, col, pivots):
         dense = [0] * ncols
         for m, c in terms.items():
@@ -259,10 +196,24 @@ def _reduce_mod(p, ncols):
     return reduce
 
 
-def resultant_vanishes(polys, degrees) -> bool:
-    """True iff Res = 0, i.e. the forms share a projective zero over the
-    algebraic closure: Macaulay's rank test (see the module docstring)."""
-    degrees, crit, cols, row = _setup(polys, degrees)
-    rows = [row(i, v) for i, d in enumerate(degrees)
-            for v in _degree_block(len(degrees), crit - d)]
-    return matrix_rank(rows, polys[0].field) < len(cols)
+def _reduce_field(field: Field, ncols):
+    """The reduction of ``_reduce_mod`` in the field's own arithmetic."""
+    zero, mul, sub = field.zero, field.mul, field.sub
+
+    def reduce(terms, shift, col, pivots):
+        dense = [zero] * ncols
+        for m, c in terms.items():
+            dense[col[m + shift]] = c
+        for j in range(ncols):
+            c = dense[j]
+            if c == zero:
+                continue
+            piv = pivots.get(j)
+            if piv is None:
+                inv = field.inv(c)
+                pivots[j] = [(k, mul(x, inv)) for k in range(j + 1, ncols)
+                             if (x := dense[k]) != zero]
+                return
+            for k, x in piv:
+                dense[k] = sub(dense[k], mul(c, x))
+    return reduce

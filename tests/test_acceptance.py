@@ -15,8 +15,8 @@ from defectus import (
     cp_upper_one_sided, enumerate_points, fiber_dimension, field_make,
     find_reducibility_witness, ideal_dimension, initial_form_criterion,
     is_regular_sequence, linear_census_oracle, projective_dimension,
-    resultant_value, resultant_vanishes, run_census, run_monte_carlo,
-    sample_system, system_from_census_index,
+    resultant_vanishes, run_census, run_monte_carlo, sample_system,
+    system_from_census_index,
 )
 from defectus.classify import classify
 from defectus.cli import main as cli_main
@@ -26,6 +26,7 @@ from defectus.polynomials import monomials_exact
 from defectus.rng import HashStream
 
 from randomized_checks import kollar_dimension_test, minor_combo_fiber_test
+from reference_resultant import resultant_value
 
 THREADS = os.cpu_count() or 1
 

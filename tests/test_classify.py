@@ -502,7 +502,7 @@ def test_rank_defect_read_below_the_fiber(f2):
     assert rep.fiber_dim == 1 and rep.ideal_theoretic_ci
 
 
-def _ungated_itci(system, rep):
+def _affine_route_itci(system, rep):
     # the affine route: a floored run on (F, affine Jacobian minors)
     r, s = system.r, system.s
     polys = list(system.polys)
@@ -530,21 +530,21 @@ def test_gated_itci_matches_the_rank_defect_stage(q, r, d):
             f1 = g * (g if i % 4 == 1 else h)
             system = PolySystem(field, r, s, d, (f1,) + system.polys[1:])
         rep = classify(system)
-        assert rep.ideal_theoretic_ci == _ungated_itci(system, rep)
+        assert rep.ideal_theoretic_ci == _affine_route_itci(system, rep)
         if rep.regular_sequence and rep.fiber_dim >= r - s:
             decided[rep.ideal_theoretic_ci] += 1
     assert decided[False]  # a large fiber over a non-radical ideal
 
 
 @pytest.mark.slow
-def test_gated_itci_matches_the_rank_defect_stage_on_census(f2):
+def test_itci_matches_the_affine_minors_run_on_census(f2):
     # q=2, d=(2,2): 2**20 systems; stride 19 keeps the run near a minute
     inputs = BoundInputs(3, 2, 2, (2, 2))
     itci = 0
     for idx in range(0, census_size(inputs), 19):
         system = system_from_census_index(inputs, f2, idx)
         rep = classify(system)
-        assert rep.ideal_theoretic_ci == _ungated_itci(system, rep)
+        assert rep.ideal_theoretic_ci == _affine_route_itci(system, rep)
         itci += rep.ideal_theoretic_ci
     assert itci
 

@@ -142,6 +142,35 @@ def test_huge_q(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def _reference_decimal(frac):
+    # six significant digits through the decimal module, digit limit lifted
+    from decimal import ROUND_HALF_UP, Decimal, localcontext
+    with localcontext() as ctx:
+        ctx.prec, ctx.rounding = 60, ROUND_HALF_UP
+        return f"{Decimal(frac['num']) / Decimal(frac['den']):.5e}"
+
+
+@pytest.mark.parametrize("exponent", [4000, 9100])
+def test_q_past_the_digit_limit(capsys, exponent):
+    # 3^4000 has 1909 digits, but prob_B1's denominator q^4 runs past the
+    # int-to-str limit; 3^9100 (4342 digits) runs past it itself
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    q = str(3 ** exponent)
+    sys.set_int_max_str_digits(limit)
+    code, out, err = _run(capsys, "bounds", "--r", "3", "--s", "2",
+                          "--d", "2,2", "--q", q)
+    assert code == 0 and not err
+    sys.set_int_max_str_digits(0)
+    try:
+        blob = json.loads(out)
+        assert str(blob["inputs"]["q"]) == q
+        for name in ("prob_B1", "prob_B2"):
+            assert blob[name]["decimal"] == _reference_decimal(blob[name])
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_k_flag_validation(capsys):
     code, _, err = _run(capsys, "census", "--q", "4", "--r", "3", "--s", "2",
                         "--d", "1,1", "--k", "3", "--threads", "1")
@@ -193,8 +222,16 @@ def test_sample_vacuous_run(capsys):
 def test_selftest(capsys):
     code, out, _ = _run(capsys, "selftest", "--threads", "2")
     assert code == 0
-    assert all(line.startswith("ok - ")
-               for line in out.strip().splitlines())
+    # the exact list, so that a dropped check fails too
+    assert out.splitlines() == [f"ok - {name}" for name in (
+        "field axioms (F_7, F_4, F_101^4, F_4^10)",
+        "groebner basics",
+        "rank test (F_4)",
+        "macaulay vanishing",
+        "fiber rank test (q=101)",
+        "linear census vs rank oracle (q=2)",
+        "thread-count determinism",
+    )]
 
 
 def test_census_refusal_names_the_size_as_a_power(capsys):
