@@ -33,7 +33,7 @@ from .groebner import (
     projective_dimension,
 )
 from .polynomials import (
-    NEG_INF, Poly, PolySystem, embed_poly, jacobian, jacobian_minors,
+    NEG_INF, Poly, PolySystem, embed_poly, jacobian_minors,
     monomials_exact, monomials_upto,
 )
 from .resultant import matrix_rank, resultant_vanishes

@@ -29,33 +29,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .fields import Field, _digits, extension_of, prime_power_decompose
+from .fields import (
+    BudgetExceeded, Field, _digits, extension_of, prime_power_decompose,
+)
 from .polynomials import PolySystem, embed_poly
 
 BUDGET_DEFAULT = 1 << 20
 # q^dimF of 2^20 bits: the worst accepted ``bounds`` prints in ~3 s
 # (2 vCPUs, CPython 3.11); q=2, r=6, d=(40,40) ran past 200 s unbounded
 BOUND_BITS = 1 << 20
-
-
-class BudgetExceeded(RuntimeError):
-    """Work of base^exponent items would exceed the budget.
-
-    The message names the size as a power, so a refusal never formats
-    an integer of thousands of digits; ``budget`` is shown as given.
-    """
-
-    def __init__(self, base: int, exponent: int, budget, what: str,
-                 unit: str = "evaluations"):
-        super().__init__(
-            f"{what} needs {base}^{exponent} {unit}, budget is {budget}")
-        self.base = base
-        self.exponent = exponent
-        self.budget = budget
-
-    @property
-    def required(self) -> int:
-        return self.base ** self.exponent
 
 
 def max_exponent(base: int, budget: int) -> int:

@@ -97,7 +97,8 @@ from .groebner import (
 # not called here: bench/tracing.py wraps it; --trace 1 stops without it
 from .groebner import colon_ideal  # noqa: F401
 from .polynomials import (
-    Poly, PolySystem, _packing, jacobian_minors, packed_monomials,
+    Poly, PolySystem, _packing, degree_block, jacobian_minors,
+    packed_monomials,
 )
 from .resultant import fills_degree
 
@@ -233,7 +234,7 @@ def _witness_candidates(q: int, r: int, gdeg: int) -> tuple:
     count = q ** len(mons)
     if count > DEFAULT_WITNESS_BUDGET:
         return ()
-    top = set(mons).difference(packed_monomials(r, gdeg - 1))
+    top = set(degree_block(r, gdeg))
     out = []
     for idx in range(count):
         terms = {m: d for m, d in zip(mons, _digits(idx, q, len(mons))) if d}

@@ -83,7 +83,7 @@ def _add_output_flags(sub):
 def _field_from_flags(args):
     p, k = prime_power_decompose(args.q)
     if args.k is not None and args.k != k:
-        raise ValueError(f"--k {args.k} inconsistent with --q {args.q} = {p}^{k}")
+        raise ValueError(f"--k {args.k} inconsistent with --q = {p}^{k}")
     return field_make(p, k, 0)
 
 

@@ -232,8 +232,8 @@ def system_from_census_index(inputs: BoundInputs, field: Field,
 
 def _chunk(args):
     """Classify the systems of indices [start, stop); (counts, rows)."""
-    config, start, stop, want_rows = args
-    inputs, field = config.inputs, config.build_field()
+    config, field, start, stop, want_rows = args
+    inputs = config.inputs
     rows = [] if want_rows else None
     # equal reports are kept once, as [report, count]: the counts merge
     # once per distinct report, and the pickled rows share the reports
@@ -429,11 +429,14 @@ def _run(config: ExperimentConfig, total: int, want_rows: bool):
 
     Refuses first, with ``derive``'s check, a shape whose bound report
     would be too long to form, so no system is classified for nothing.
+    The field is built here, before any worker starts: a field too large
+    to build is refused once, and the forked workers inherit it.
     """
     check_bound_bits(config.inputs)
     t0 = time.time()
+    field = config.build_field()
     # four chunks per process that can run
-    jobs = [(config, a, b, want_rows)
+    jobs = [(config, field, a, b, want_rows)
             for a, b in _ranges(total, _workers(config.threads) * 4)]
     counts = OutcomeCounts.zero(config.inputs.s)
     rows = [] if want_rows else None

@@ -26,7 +26,7 @@ over F_p in the basis built level by level.  Hence
 Each extension picks its multiply once, by order, when it is built:
   * q <= 2**16 (``TableField``): log/exp tables over a primitive
     element (Lidl & Niederreiter, *Finite Fields*), built with the
-    field;
+    field through the schoolbook multiply it inherits;
   * q > 2**16 over a prime base (``PackedField``): the digits go into
     bit slots wide enough for every convolution sum, one bigint product
     multiplies the polynomials (Kronecker substitution, von zur Gathen
@@ -45,15 +45,38 @@ base-q indices through it.
 Two fields with equal (base, degree, modulus) compare equal and define
 identical arithmetic.  Moduli are found by a seeded deterministic
 search so the same (p, k, seed) always yields the same field, and the
-search and the construction are cached per process.
+search and the construction are cached per process.  A field whose
+degree over F_p passes ``MAX_DEGREE`` is refused (``BudgetExceeded``,
+the package's one refusal) before the search.
 """
 
 from __future__ import annotations
 
-from functools import cache
+import math
+from functools import cache, partial
 from operator import pos, xor
 
 from .rng import HashStream
+
+
+class BudgetExceeded(RuntimeError):
+    """Work of base^exponent items would exceed the budget.
+
+    The message names the size as a power, so a refusal never formats
+    an integer of thousands of digits; ``budget`` is shown as given.
+    """
+
+    def __init__(self, base: int, exponent: int, budget, what: str,
+                 unit: str = "evaluations"):
+        super().__init__(
+            f"{what} needs {base}^{exponent} {unit}, budget is {budget}")
+        self.base = base
+        self.exponent = exponent
+        self.budget = budget
+
+    @property
+    def required(self) -> int:
+        return self.base ** self.exponent
 
 
 class Field:
@@ -72,14 +95,7 @@ class Field:
     def pow(self, a, e: int):
         if e < 0:
             raise ValueError("negative exponent")
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return _power(self.mul, a, e)
 
     def from_int(self, n: int):
         """Image of the integer n under Z -> F (reduction mod p)."""
@@ -299,17 +315,17 @@ class TableField(ExtensionField):
         super().__init__(base, degree, modulus)
         p, q = self.p, self.q
         order = q - 1
-        # the schoolbook field of the same modulus computes the tables
-        twin = ExtensionField(base, degree, modulus)
-        g = _primitive_element(twin)
+        # the inherited schoolbook multiply computes the tables
+        mul = partial(ExtensionField.mul, self)
+        g = _primitive_element(q, mul)
         # x -> x*g is F_p-linear in the base-p digits: cut x into chunks
-        # of c digits (radix R = p^c) and add up the images of the chunks
+        # of c <= k digits (radix R = p^c <= 256) and add up the images of
+        # the chunks; at R = q a step is one lookup
         c = 1
-        while p ** (c + 1) <= 256:
+        while c < self.k and p ** (c + 1) <= 256:
             c += 1
         radix = p ** c
-        images = [[twin.mul(v * radix ** i, g)
-                   for v in range(radix)]
+        images = [[mul(v * radix ** i, g) for v in range(radix)]
                   for i in range(-(-self.k // c))]
         add = self.add
         exp = [0] * (2 * order)
@@ -405,9 +421,21 @@ def _from_digits(digits, radix):
     return out
 
 
-def _primitive_element(field):
-    """The smallest index that generates the multiplicative group."""
-    order = field.q - 1
+def _power(mul, a, e: int):
+    """a^e for e >= 0 by square-and-multiply under the product ``mul``."""
+    result = 1
+    while e:
+        if e & 1:
+            result = mul(result, a)
+        a = mul(a, a)
+        e >>= 1
+    return result
+
+
+def _primitive_element(q: int, mul):
+    """The smallest index that generates the multiplicative group of the
+    field of order q whose product is ``mul``."""
+    order = q - 1
     primes, n, d = [], order, 2
     while d * d <= n:
         if n % d == 0:
@@ -417,8 +445,8 @@ def _primitive_element(field):
         d += 1
     if n > 1:
         primes.append(n)
-    for g in range(2, field.q):
-        if all(field.pow(g, order // ell) != 1 for ell in primes):
+    for g in range(2, q):
+        if all(_power(mul, g, order // ell) != 1 for ell in primes):
             return g
     raise ArithmeticError("no primitive element: modulus not irreducible")
 
@@ -459,15 +487,33 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
+# trial divisors run below 2**_TRIAL_BITS
+_TRIAL_BITS = 10
+
+
 def prime_power_decompose(q: int) -> tuple[int, int]:
-    """Write q = p^k with p prime, or raise ValueError."""
-    if q < 2:
-        raise ValueError(f"{q} is not a prime power")
-    for k in range(q.bit_length(), 0, -1):
-        p = _iroot(q, k)
-        if p >= 2 and p ** k == q and is_prime(p):
-            return p, k
-    raise ValueError(f"{q} is not a prime power")
+    """Write q = p^k with p prime, or raise ValueError.
+
+    The first trial divisor of q is its least prime factor, the only
+    candidate for p.  With none, p > 2**_TRIAL_BITS, so k is at most
+    log2(q) / _TRIAL_BITS, and only those integer roots are tried.
+    """
+    if q >= 2:
+        for ell in range(2, 1 << _TRIAL_BITS):
+            if q % ell == 0:
+                k = round(math.log(q, ell))
+                if ell ** k == q:
+                    return ell, k
+                break
+        else:
+            for k in range(q.bit_length() // _TRIAL_BITS, 0, -1):
+                p = _iroot(q, k)
+                if p ** k == q and is_prime(p):
+                    return p, k
+    # 14000 bits stay below the interpreter's int-to-str limit, 4300 digits
+    shown = q if q.bit_length() <= 14000 \
+        else f"an integer of {q.bit_length()} bits"
+    raise ValueError(f"{shown} is not a prime power")
 
 
 # -- univariate polynomial helpers over an arbitrary Field --------------
@@ -592,10 +638,25 @@ def field_make(p: int, k: int, seed: int = 0) -> Field:
     return extension_of(base, k, seed, label="modulus")
 
 
+# the largest degree over F_p of a field that is built: the modulus
+# search took 0.26 s (p=2), 0.55 s (p=3) and 1.17 s (p=101) at k = 64,
+# 1.16 s at p=2, k = 128 (2 vCPUs, CPython 3.11); it also grows with
+# log p: 5.4 s at p = 2^61 - 1, k = 32
+MAX_DEGREE = 64
+
+
 @cache
 def extension_of(base: Field, degree: int, seed: int = 0,
                  label: str = "tower") -> ExtensionField:
-    """Seeded search for a degree-``degree`` extension of ``base``."""
+    """Seeded search for a degree-``degree`` extension of ``base``.
+
+    Refuses (BudgetExceeded) a field of degree over F_p past
+    ``MAX_DEGREE`` before the search.
+    """
+    k = base.k * degree
+    if k > MAX_DEGREE:
+        raise BudgetExceeded(base.p, k, f"{base.p}^{MAX_DEGREE}",
+                             "the field", "elements")
     stream = HashStream(label, base.p, base.k, degree, seed)
     while True:
         coeffs = tuple(stream.randint(base.q) for _ in range(degree))

@@ -108,6 +108,8 @@ def _record(terms, field, pk):
     return terms, lm
 
 
+# _normal_form, _s_poly and _exact_divide keep their own loops: through
+# polynomials._mul_acc the fiber run and classify at q=4 measured slower
 def _normal_form(terms, records, field, pk):
     """Full remainder of ``terms`` modulo the records (deterministic).
 

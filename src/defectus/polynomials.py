@@ -27,8 +27,9 @@ the negated exponent fields.  ``_elimination_packing(n)``, the one
 other packing, keeps the layout and puts the last exponent above the
 grevlex key of the rest, for colon ideals.  Both sort exactly as the
 tuple keys of ``tests/reference_groebner.py``.  ``packed_monomials``
-is the one monomial enumerator, sorted by that key; ``monomials_upto``
-and ``monomials_exact`` unpack its list.
+is the one monomial enumerator, sorted by that key; its leading slice
+``degree_block`` holds the monomials of the top degree, and
+``monomials_upto`` and ``monomials_exact`` unpack the two.
 
 Variable layout: an affine polynomial in r variables uses indices
 0..r-1 for X_1..X_r.  Homogenization appends the homogenizing variable
@@ -41,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import cache
 from itertools import combinations, combinations_with_replacement
+from math import comb
 from operator import lshift
 import hashlib
 import json
@@ -179,9 +181,40 @@ def monomials_upto(nvars: int, degree: int) -> list:
     return list(map(_packing(nvars).unpack, packed_monomials(nvars, degree)))
 
 
+def degree_block(nvars: int, degree: int) -> tuple:
+    """The packed degree-``degree`` monomials, descending grevlex: the
+    leading slice of ``packed_monomials``."""
+    return packed_monomials(nvars, degree)[:comb(degree + nvars - 1,
+                                                 nvars - 1)]
+
+
 def monomials_exact(nvars: int, degree: int) -> list:
     """All degree-``degree`` monomials in ``nvars`` variables, descending."""
-    return [m for m in monomials_upto(nvars, degree) if sum(m) == degree]
+    return list(map(_packing(nvars).unpack, degree_block(nvars, degree)))
+
+
+def _mul_acc(acc: dict, a: dict, b: dict, field: Field, op,
+             nvars: int) -> dict:
+    """acc op= a * b in place on term maps in ``nvars`` variables, ``op``
+    the field's add or sub; returns acc.
+
+    The one multiply-accumulate of the package outside the Groebner
+    engine: Poly's +, - and * and the Jacobian minors run on it.
+    """
+    # the product has degree deg a + deg b exactly, and no exponent
+    # exceeds the degree: one check covers every term's int add
+    if a and b and (max(a) + max(b)) >> (nvars * _WIDTH) >= _LIMIT:
+        _overflow()
+    zero, mul = field.zero, field.mul
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = m1 + m2
+            s = op(acc.get(m, zero), mul(c1, c2))
+            if s == zero:
+                acc.pop(m, None)
+            else:
+                acc[m] = s
+    return acc
 
 
 # -- polynomials ---------------------------------------------------------
@@ -282,31 +315,21 @@ class Poly:
     def leading_coefficient(self):
         return self.packed[self._leading()]
 
-    # arithmetic
+    # arithmetic: sums are products by the constant 1 (see _mul_acc)
 
     def __add__(self, other):
         self._check(other)
         f = self.field
-        out = dict(self.packed)
-        for m, c in other.packed.items():
-            s = f.add(out.get(m, f.zero), c)
-            if s == f.zero:
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return Poly.from_packed(f, self.nvars, out)
+        return Poly.from_packed(f, self.nvars, _mul_acc(
+            dict(self.packed), other.packed, {0: f.one}, f, f.add,
+            self.nvars))
 
     def __sub__(self, other):
         self._check(other)
         f = self.field
-        out = dict(self.packed)
-        for m, c in other.packed.items():
-            s = f.sub(out.get(m, f.zero), c)
-            if s == f.zero:
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return Poly.from_packed(f, self.nvars, out)
+        return Poly.from_packed(f, self.nvars, _mul_acc(
+            dict(self.packed), other.packed, {0: f.one}, f, f.sub,
+            self.nvars))
 
     def __neg__(self):
         f = self.field
@@ -316,21 +339,8 @@ class Poly:
     def __mul__(self, other):
         self._check(other)
         f = self.field
-        a, b = self.packed, other.packed
-        out = {}
-        # the product has degree deg a + deg b exactly, and no exponent
-        # exceeds the degree: one check covers every term's int add
-        if a and b and self.degree() + other.degree() >= _LIMIT:
-            _overflow()
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = m1 + m2
-                s = f.add(out.get(m, f.zero), f.mul(c1, c2))
-                if s == f.zero:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return Poly.from_packed(f, self.nvars, out)
+        return Poly.from_packed(f, self.nvars, _mul_acc(
+            {}, self.packed, other.packed, f, f.add, self.nvars))
 
     def scale(self, c):
         f = self.field
@@ -532,53 +542,38 @@ class PolySystem:
 
 # -- jacobian machinery --------------------------------------------------
 
-def jacobian(polys):
-    """Rows of partials (dF_i/dX_j) for same-ring polynomials."""
-    if not polys:
-        return []
-    n = polys[0].nvars
-    return [[f.derivative(j) for j in range(n)] for f in polys]
-
-
-def det_poly_matrix(rows):
-    """Determinant of a small square matrix of polynomials (cofactors)."""
-    m = len(rows)
-    if m == 1:
-        return rows[0][0]
-    if m == 2:
-        (a, b), (c, d) = rows
-        return a * d - b * c
-    f0 = rows[0][0]
-    total = Poly.zero(f0.field, f0.nvars)
-    for j in range(m):
-        entry = rows[0][j]
-        if entry.is_zero():
-            continue
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = entry * det_poly_matrix(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
 def jacobian_minors(polys):
     """All maximal minors of the Jacobian, in canonical column order.
 
     For m polynomials in n variables this is the C(n, m) list of m-by-m
     determinants of (dF_i/dX_j), columns chosen in ascending index
     order.  Formal derivatives honor the field characteristic.
+
+    One Laplace pass: the minors of the first k + 1 rows, over every
+    (k + 1)-subset of the columns, expand along row k + 1 into the
+    minors of the first k rows, starting from the constant 1 on no rows.
     """
     m = len(polys)
     if m == 0:
         raise ValueError("empty system")
-    n = polys[0].nvars
+    field, n = polys[0].field, polys[0].nvars
     if m > n:
         raise ValueError("more polynomials than variables")
-    rows = jacobian(polys)
-    out = []
-    for cols in combinations(range(n), m):
-        sub = [[row[j] for j in cols] for row in rows]
-        out.append(det_poly_matrix(sub))
-    return out
+    signs = (field.add, field.sub)
+    minors = {(): {0: field.one}}
+    for k, f in enumerate(polys):
+        row = [f.derivative(j).packed for j in range(n)]
+        expanded = {}
+        for cols in combinations(range(n), k + 1):
+            acc = {}
+            for pos, j in enumerate(cols):
+                # the cofactor of entry (k, pos) has sign (-1)^(k + pos)
+                _mul_acc(acc, row[j], minors[cols[:pos] + cols[pos + 1:]],
+                         field, signs[(k + pos) & 1], n)
+            expanded[cols] = acc
+        minors = expanded
+    return [Poly.from_packed(field, n, minors[cols])
+            for cols in combinations(range(n), m)]
 
 
 def embed_poly(poly: Poly, big_field: Field) -> Poly:

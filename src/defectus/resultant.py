@@ -32,7 +32,7 @@ from functools import cache
 from math import comb
 
 from .fields import Field
-from .polynomials import packed_monomials
+from .polynomials import degree_block
 
 
 def _setup(polys, degrees):
@@ -51,15 +51,10 @@ def _setup(polys, degrees):
     return degrees, sum(d - 1 for d in degrees) + 1
 
 
-def _degree_block(r, deg):
-    """The packed degree-deg monomials in r variables, descending."""
-    return packed_monomials(r, deg)[:comb(deg + r - 1, r - 1)]
-
-
 @cache
 def _columns(nvars, deg):
     """The column of each packed degree-deg monomial in nvars variables."""
-    return {m: idx for idx, m in enumerate(_degree_block(nvars, deg))}
+    return {m: idx for idx, m in enumerate(degree_block(nvars, deg))}
 
 
 def _multiples(nvars, degs, deg):
@@ -93,7 +88,7 @@ def _spans(forms, degs, deg, rows, field: Field) -> bool:
     reduce = _reducer(field, ncols)
     pivots = {}
     for f, d in zip(forms, degs):
-        for v in _degree_block(nvars, deg - d):
+        for v in degree_block(nvars, deg - d):
             rows -= 1
             reduce(f.packed, v, col, pivots)
             if len(pivots) == ncols:

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import defectus
 from defectus import BoundInputs, derive
 from defectus.cli import main
 
@@ -140,6 +144,48 @@ def test_huge_q(capsys):
                           "--d", "2,2", "--q", str(6 ** 464))
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _cli(*argv, timeout=60):
+    """Run the CLI in a subprocess: a regression fails the test by its
+    timeout instead of hanging the suite.  (exit code, stdout, stderr)."""
+    src = str(Path(defectus.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "defectus.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_huge_q_with_a_small_factor_is_refused_at_once():
+    # 6^6000 (4669 digits): the factor 2 settles it; the message names
+    # q by its size, past the interpreter's int-to-str limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        q = str(6 ** 6000)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    code, out, err = _cli("bounds", "--r", "3", "--s", "2", "--d", "2,2",
+                          "--q", q)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "not a prime power" in err
+    assert err.startswith("error:") and len(err) < 200
+
+
+@pytest.mark.parametrize("command", ["sample", "census", "classify"])
+def test_field_too_large_to_build_is_refused(tmp_path, command):
+    # F_{3^700}: one budget line before the modulus search, in every
+    # subcommand that builds the field
+    system = tmp_path / "system.json"
+    system.write_text('{"polys": []}')
+    extra = {"sample": ["--n", "1", "--threads", "1"],
+             "census": ["--threads", "1"],
+             "classify": ["--system", str(system)]}[command]
+    code, out, err = _cli(command, "--q", str(3 ** 700), "--r", "3",
+                          "--s", "2", "--d", "2,2", *extra, timeout=30)
+    assert code == 3 and out == ""
+    assert err.startswith("budget:") and err.count("\n") == 1
 
 
 def _reference_decimal(frac):

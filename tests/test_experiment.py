@@ -204,6 +204,19 @@ def test_bound_bits_refusal_comes_before_any_system(monkeypatch, mode):
         runner(config)
 
 
+def test_field_refusal_comes_before_any_worker(monkeypatch):
+    # F_{3^700} is past the field budget: the runner builds the field
+    # itself, so it refuses before the workers would each build it
+    def no_chunks(*args):
+        raise AssertionError("workers were started")
+
+    monkeypatch.setattr(experiment, "_map_chunks", no_chunks)
+    config = ExperimentConfig(inputs=BoundInputs(3, 2, 3 ** 700, (2, 2)),
+                              mode="monte_carlo", n_samples=1)
+    with pytest.raises(BudgetExceeded, match=r"the field needs 3\^700 "):
+        run_monte_carlo(config)
+
+
 def test_threads_below_one_rejected():
     with pytest.raises(ValueError, match="threads"):
         _mc_config(7, (2, 2), 3, threads=0)

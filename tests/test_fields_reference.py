@@ -101,6 +101,25 @@ def test_large_fields_match_reference_on_draws(name):
         _check_pair(field, rf, a, b)
 
 
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 16)])
+def test_table_field_tests_its_modulus_once(monkeypatch, p, k):
+    # the tables come from the field's own schoolbook multiply, with no
+    # second field of the same modulus to test again
+    import defectus.fields as fmod
+    made = field_make(p, k)
+    calls = []
+    irreducible = fmod._upoly_is_irreducible
+
+    def counted(base, modulus):
+        calls.append(modulus)
+        return irreducible(base, modulus)
+
+    monkeypatch.setattr(fmod, "_upoly_is_irreducible", counted)
+    field = TableField(made.base, made.degree, made.modulus)
+    assert len(calls) == 1
+    assert field._exp == made._exp and field._log == made._log
+
+
 def test_multiply_is_chosen_by_order():
     f4 = field_make(2, 2)
     assert type(field_make(2, 16)) is TableField and 2 ** 16 == TABLE_MAX

@@ -1,3 +1,7 @@
+import ast
+from itertools import combinations, permutations
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,6 +9,7 @@ from defectus import (
     NEG_INF, Poly, PolySystem, field_make, jacobian_minors,
     monomials_exact, monomials_upto,
 )
+import defectus.polynomials as polymod
 from defectus.rng import HashStream
 
 from conftest import random_point, random_poly
@@ -164,6 +169,88 @@ def test_jacobian_minors_shape_errors(f7):
     too_many = [Poly.variable(f7, 2, 0)] * 3
     with pytest.raises(ValueError):
         jacobian_minors(too_many)
+
+
+def _leibniz(rows, field, nvars):
+    """det of a square matrix of Polys by the Leibniz formula, as
+    {exponent tuple: coefficient}, on exponent tuples only."""
+    total = {}
+    for perm in permutations(range(len(rows))):
+        inversions = sum(a > b for i, a in enumerate(perm)
+                         for b in perm[i + 1:])
+        prod = {(0,) * nvars: field.one}
+        for i, j in enumerate(perm):
+            nxt = {}
+            for m1, c1 in prod.items():
+                for m2, c2 in rows[i][j].terms.items():
+                    m = tuple(a + b for a, b in zip(m1, m2))
+                    nxt[m] = field.add(nxt.get(m, field.zero),
+                                       field.mul(c1, c2))
+            prod = nxt
+        op = field.sub if inversions % 2 else field.add
+        for m, c in prod.items():
+            total[m] = op(total.get(m, field.zero), c)
+    return {m: c for m, c in total.items() if c != field.zero}
+
+
+@pytest.mark.parametrize("q", [2, 4, 9, 101])
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_jacobian_minors_match_leibniz(q, s):
+    # quadrics in r = s + 1 variables, homogenized: the second is
+    # degree-dropped (an X_0 factor), and the last trial has a zero
+    # row; each minor against the Leibniz determinant of its columns
+    field = field_make(*{2: (2, 1), 4: (2, 2), 9: (3, 2),
+                         101: (101, 1)}[q])
+    r = s + 1
+    stream = HashStream("leibniz", q, s)
+    for trial in range(3):
+        polys = [random_poly(field, r, 2, stream) for _ in range(s)]
+        polys[1] = random_poly(field, r, 1, stream)
+        if trial == 2:
+            polys[0] = Poly.zero(field, r)
+        homog = [f.homogenize(2) for f in polys]
+        rows = [[f.derivative(j) for j in range(r + 1)] for f in homog]
+        minors = jacobian_minors(homog)
+        cols = list(combinations(range(r + 1), s))
+        assert len(minors) == len(cols)
+        for minor, chosen in zip(minors, cols):
+            sub = [[row[j] for j in chosen] for row in rows]
+            assert minor.terms == _leibniz(sub, field, r + 1)
+            if trial == 2:
+                assert minor.is_zero()
+
+
+def test_char2_minors_vanish_like_leibniz(f2):
+    # X1^2 + X2^2 = (X1 + X2)^2: every partial vanishes in characteristic
+    # 2, so each minor with it is zero; X1*X2 keeps its partials
+    F = Poly.from_int_terms(f2, 4, {(2, 0, 0, 0): 1, (0, 2, 0, 0): 1})
+    G = Poly.from_int_terms(f2, 4, {(1, 1, 0, 0): 1})
+    H = Poly.from_int_terms(f2, 4, {(0, 0, 1, 1): 1})
+    assert all(m.is_zero() for m in jacobian_minors([F, G, H]))
+    assert any(not m.is_zero() for m in jacobian_minors([G, H]))
+
+
+def test_one_multiply_accumulate():
+    # the minors and Poly's +, - and * share polynomials._mul_acc: the
+    # cofactor expansion, the Jacobian rows and the second degree-block
+    # slice are gone from the package
+    package = Path(polymod.__file__).parent
+    gone = {"det_poly_matrix", "jacobian", "_degree_block"}
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                assert node.name not in gone, (path.name, node.name)
+    tree = ast.parse(Path(polymod.__file__).read_text())
+    poly = next(node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "Poly")
+    calls = {}
+    for node in poly.body:
+        if isinstance(node, ast.FunctionDef):
+            calls[node.name] = {n.func.id for n in ast.walk(node)
+                                if isinstance(n, ast.Call)
+                                and isinstance(n.func, ast.Name)}
+    for name in ("__add__", "__sub__", "__mul__"):
+        assert "_mul_acc" in calls[name], name
 
 
 @given(_poly_strategy(field_make(5, 1)), _poly_strategy(field_make(5, 1)))
