@@ -90,12 +90,12 @@ from typing import Optional
 
 from .fields import _digits
 from .groebner import (
-    groebner, normal_form,
+    groebner,
     _cone_to_projective, _dimension_floor, _exact_divide, _floored_leads,
-    _independent_dim,
+    _independent_dim, _normal_form,
 )
-# not called here: bench/tracing.py wraps it; --trace 1 stops without it
-from .groebner import colon_ideal  # noqa: F401
+# not called here: bench/tracing.py wraps them; --trace 1 stops without them
+from .groebner import colon_ideal, normal_form  # noqa: F401
 from .polynomials import (
     Poly, PolySystem, _packing, degree_block, jacobian_minors,
     packed_monomials,
@@ -259,19 +259,13 @@ def find_reducibility_witness(system: PolySystem):
     Top forms multiply in a domain, so G | F_i needs top(G) | top(F_i);
     that test is made once per top form, and the full division only
     where it passes.  The reduced basis of the ideal is computed only
-    when the first exact divisor reaches the checks.  Returns (i, G, H)
-    or None.
+    when the first exact divisor reaches the checks, which reduce the
+    term maps of G and H against its records; Poly objects are built
+    only for the witness returned.  Returns (i, G, H) or None.
     """
     field, r, q = system.field, system.r, system.field.q
-    gb = None
+    records = None
     pk = _packing(r)
-
-    def quotient(num, div):
-        try:
-            return _exact_divide(num, div, field, pk)
-        except ArithmeticError:
-            return None
-
     for i, f in enumerate(system.polys, start=1):
         if f.is_zero() or f.degree() < 2:
             continue
@@ -280,22 +274,21 @@ def find_reducibility_witness(system: PolySystem):
             divides = {}   # top form -> does it divide top(F_i)
             for terms, top in _witness_candidates(q, r, gdeg):
                 if top not in divides:
-                    divides[top] = quotient(ftop, dict(top)) is not None
+                    divides[top] = _exact_divide(
+                        ftop, dict(top), field, pk) is not None
                 if not divides[top]:
                     continue
-                quot = quotient(f.packed, terms)
+                quot = _exact_divide(f.packed, terms, field, pk)
                 if quot is None:
                     continue
+                if records is None:
+                    records = groebner(list(system.polys)).records
+                if (not _normal_form(terms, records, field, pk)
+                        or not _normal_form(quot, records, field, pk)):
+                    continue
                 # a copy: the cached map must not escape into a Poly
-                cand = Poly.from_packed(field, r, dict(terms))
-                other = Poly.from_packed(field, r, quot)
-                if gb is None:
-                    gb = groebner(list(system.polys))
-                if normal_form(cand, gb).is_zero():
-                    continue
-                if normal_form(other, gb).is_zero():
-                    continue
-                return i, cand, other
+                return (i, Poly.from_packed(field, r, dict(terms)),
+                        Poly.from_packed(field, r, quot))
     return None
 
 

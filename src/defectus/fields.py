@@ -46,8 +46,9 @@ Two fields with equal (base, degree, modulus) compare equal and define
 identical arithmetic.  Moduli are found by a seeded deterministic
 search so the same (p, k, seed) always yields the same field, and the
 search and the construction are cached per process.  A field whose
-degree over F_p passes ``MAX_DEGREE`` is refused (``BudgetExceeded``,
-the package's one refusal) before the search.
+degree over F_p passes ``MAX_DEGREE``, or whose order passes
+``MAX_FIELD_BITS`` bits, is refused (``BudgetExceeded``, the package's
+one refusal) before the search.
 """
 
 from __future__ import annotations
@@ -73,6 +74,14 @@ class BudgetExceeded(RuntimeError):
         self.base = base
         self.exponent = exponent
         self.budget = budget
+        self.what = what
+        self.unit = unit
+
+    def __reduce__(self):
+        # ``args`` holds the message only; a pool worker's refusal is
+        # pickled back to the parent through the constructor
+        return type(self), (self.base, self.exponent, self.budget,
+                            self.what, self.unit)
 
     @property
     def required(self) -> int:
@@ -640,9 +649,15 @@ def field_make(p: int, k: int, seed: int = 0) -> Field:
 
 # the largest degree over F_p of a field that is built: the modulus
 # search took 0.26 s (p=2), 0.55 s (p=3) and 1.17 s (p=101) at k = 64,
-# 1.16 s at p=2, k = 128 (2 vCPUs, CPython 3.11); it also grows with
-# log p: 5.4 s at p = 2^61 - 1, k = 32
+# 1.16 s at p=2, k = 128 (2 vCPUs, CPython 3.11)
 MAX_DEGREE = 64
+# the largest bit length of q = p^k: the search also grows with log p.
+# field_make took 1.2 s at 65521^32 (512 bits), 0.8-1.3 s at
+# (2^31 - 1)^16 and (2^32 - 5)^16, 0.04 s at (2^127 - 1)^4, 1.3-1.7 s
+# at 101^64 and 6.8 s at 251^64 (the seeded search's luck); above it,
+# 1.7 s at (2^31 - 1)^32, 5.4 s at (2^61 - 1)^32 and over 60 s at
+# (2^61 - 1)^64 (2 vCPUs, CPython 3.11)
+MAX_FIELD_BITS = 512
 
 
 @cache
@@ -651,11 +666,15 @@ def extension_of(base: Field, degree: int, seed: int = 0,
     """Seeded search for a degree-``degree`` extension of ``base``.
 
     Refuses (BudgetExceeded) a field of degree over F_p past
-    ``MAX_DEGREE`` before the search.
+    ``MAX_DEGREE``, or of order past ``MAX_FIELD_BITS`` bits, before
+    the search.
     """
     k = base.k * degree
     if k > MAX_DEGREE:
         raise BudgetExceeded(base.p, k, f"{base.p}^{MAX_DEGREE}",
+                             "the field", "elements")
+    if (base.q ** degree).bit_length() > MAX_FIELD_BITS:
+        raise BudgetExceeded(base.p, k, f"2^{MAX_FIELD_BITS}",
                              "the field", "elements")
     stream = HashStream(label, base.p, base.k, degree, seed)
     while True:

@@ -21,6 +21,10 @@ The S-polynomial of two records is then the difference of the shifted
 records, a reduction step multiplies by the coefficient it cancels,
 and inter-reduction keeps every leading coefficient one, so none of
 them inverts anything and the reduced basis needs no monic pass.
+The records are the one form of a basis: ``GroebnerBasis.records`` is
+the list ``_reduce_basis`` returns, and ``is_unit``, ``normal_form``,
+the dimensions and ``colon_ideal`` read it as it stands; ``gens`` is a
+view that wraps each record's term map as a Poly.
 
 The engine works on the packed term maps ``Poly.packed`` directly
 (Monagan & Pearce, CASC 2007; the layout, the order key each packing
@@ -59,6 +63,7 @@ basis is never reduced.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Sequence
 
@@ -68,28 +73,23 @@ from .polynomials import (
 )
 
 
+@dataclass(frozen=True, slots=True)
 class GroebnerBasis:
-    """Reduced grevlex basis: monic, pairwise irreducible, sorted."""
+    """Reduced grevlex basis (monic, inter-reduced, largest lead first),
+    held as the records ``_reduce_basis`` returns."""
 
-    __slots__ = ("field", "nvars", "gens")
+    field: Field
+    nvars: int
+    records: list
 
-    def __init__(self, field: Field, nvars: int, gens: tuple):
-        self.field = field
-        self.nvars = nvars
-        self.gens = gens
+    @property
+    def gens(self) -> tuple:
+        return tuple(Poly.from_packed(self.field, self.nvars, terms)
+                     for terms, _ in self.records)
 
     @property
     def is_unit(self) -> bool:
-        return len(self.gens) == 1 and self.gens[0].degree() == 0
-
-    def __eq__(self, other):
-        return (isinstance(other, GroebnerBasis)
-                and self.nvars == other.nvars
-                and self.field == other.field
-                and list(self.gens) == list(other.gens))
-
-    def __repr__(self):
-        return f"GroebnerBasis({len(self.gens)} gens)"
+        return len(self.records) == 1 and self.records[0][1] == 0  # lead 1
 
 
 # -- packed engine -------------------------------------------------------
@@ -275,33 +275,29 @@ def groebner(gens: Sequence[Poly], field: Field = None,
         raise ValueError("empty generator list needs field and nvars")
     pk = _packing(nvars)
     basis = _buchberger([g.packed for g in gens if g.packed], field, pk)
-    polys = tuple(Poly.from_packed(field, nvars, t)
-                  for t, _ in _reduce_basis(basis, field, pk))
-    return GroebnerBasis(field, nvars, polys)
+    return GroebnerBasis(field, nvars, _reduce_basis(basis, field, pk))
 
 
 def normal_form(f: Poly, gb: GroebnerBasis) -> Poly:
     """Remainder of multivariate division; zero iff f lies in the ideal."""
     if f.nvars != gb.nvars or f.field != gb.field:
         raise ValueError("polynomial not in the basis ring")
-    pk = _packing(gb.nvars)
-    records = [_record(g.packed, gb.field, pk) for g in gb.gens]
-    rem = _normal_form(f.packed, records, gb.field, pk)
+    rem = _normal_form(f.packed, gb.records, gb.field, _packing(gb.nvars))
     return Poly.from_packed(gb.field, gb.nvars, rem)
 
 
 def _exact_divide(num, div, field, pk):
     """Quotient of an exact division of packed term maps by a monic one.
 
-    Raises ArithmeticError if the division is inexact.  The smallest
-    monomial of a product is the product of the smallest ones, so a
-    divisor whose smallest monomial does not divide the numerator's is
-    rejected before any arithmetic.
+    None if the division is inexact.  The smallest monomial of a
+    product is the product of the smallest ones, so a divisor whose
+    smallest monomial does not divide the numerator's is rejected
+    before any arithmetic.
     """
     guard, key = pk.guard, pk.key
     if num and (min(num, key=key) + guard
                 - min(div, key=key)) & guard != guard:
-        raise ArithmeticError("inexact division")
+        return None
     dlm = max(div, key=key)
     zero = field.zero
     work = dict(num)
@@ -310,7 +306,7 @@ def _exact_divide(num, div, field, pk):
         lm = max(work, key=key)
         c = work.pop(lm)
         if (lm + guard - dlm) & guard != guard:
-            raise ArithmeticError("inexact division")
+            return None
         shift = lm - dlm
         quot[shift] = c
         for dm, dc in div.items():
@@ -344,8 +340,8 @@ def colon_ideal(gb: GroebnerBasis, f: Poly) -> GroebnerBasis:
     # t*I and (1 - t)*f inside K[x_1..x_n, t]: the one re-encoding,
     # each monomial times t^0 or t^1 in n + 1 variables
     append = _packing(n).append
-    ext_gens = [{append(m, 1): c for m, c in g.packed.items()}
-                for g in gb.gens]
+    ext_gens = [{append(m, 1): c for m, c in terms.items()}
+                for terms, _ in gb.records]
     mixed = {append(m, 0): c for m, c in f.packed.items()}
     mixed.update({append(m, 1): field.neg(c) for m, c in f.packed.items()})
     ext_gens.append(mixed)
@@ -361,8 +357,10 @@ def colon_ideal(gb: GroebnerBasis, f: Poly) -> GroebnerBasis:
     for terms, lm in basis:
         if split_last(lm)[1] == 0:
             inter = {split_last(m)[0]: c for m, c in terms.items()}
-            quotients.append(Poly.from_packed(
-                field, n, _exact_divide(inter, divisor, field, pk)))
+            quot = _exact_divide(inter, divisor, field, pk)
+            if quot is None:
+                raise ArithmeticError("colon ideal: inexact division")
+            quotients.append(Poly.from_packed(field, n, quot))
     return groebner(quotients, field=field, nvars=n)
 
 
@@ -411,9 +409,8 @@ def ideal_dimension(gb: GroebnerBasis) -> int:
     -1 for the unit ideal.  Computed as the largest variable subset S
     such that no leading monomial is supported inside S.
     """
-    pk = _packing(gb.nvars)
-    supports = [pk.support(max(g.packed, key=pk.key)) for g in gb.gens]
-    return _independent_dim(supports, gb.nvars)
+    support = _packing(gb.nvars).support
+    return _independent_dim([support(lm) for _, lm in gb.records], gb.nvars)
 
 
 def _floored_leads(gens: Sequence[Poly], floor: int, field: Field,
@@ -459,6 +456,8 @@ def _cone_to_projective(cone: int) -> int:
 
 def projective_dimension(gb: GroebnerBasis) -> int:
     """Dimension of the projective zero set; -1 when empty."""
-    if any(not g.is_homogeneous() for g in gb.gens):
+    bits = _packing(gb.nvars).bits   # the shift of the degree field
+    if any(m >> bits != lm >> bits for terms, lm in gb.records
+           for m in terms):
         raise ValueError("projective question on non-homogeneous basis")
     return _cone_to_projective(ideal_dimension(gb))

@@ -136,10 +136,12 @@ def test_bad_q_diagnostic(capsys):
 
 
 def test_huge_q(capsys):
-    # 3^700 is past the float range; 6^464 (1200 bits) is no prime power
-    code, out, err = _run(capsys, "bounds", "--r", "3", "--s", "2",
-                          "--d", "2,2", "--q", str(3 ** 700))
-    assert code == 0 and not err and '"applicable": true' in out
+    # 3^700 is past the float range, and neither it nor (2^61 - 1)^32
+    # is a field that is built; 6^464 (1200 bits) is no prime power
+    for q in (3 ** 700, (2 ** 61 - 1) ** 32):
+        code, out, err = _run(capsys, "bounds", "--r", "3", "--s", "2",
+                              "--d", "2,2", "--q", str(q))
+        assert code == 0 and not err and '"applicable": true' in out
     code, out, err = _run(capsys, "bounds", "--r", "3", "--s", "2",
                           "--d", "2,2", "--q", str(6 ** 464))
     assert code == 2 and out == ""
@@ -175,17 +177,20 @@ def test_huge_q_with_a_small_factor_is_refused_at_once():
 
 @pytest.mark.parametrize("command", ["sample", "census", "classify"])
 def test_field_too_large_to_build_is_refused(tmp_path, command):
-    # F_{3^700}: one budget line before the modulus search, in every
-    # subcommand that builds the field
+    # F_{3^700}, past the degree bound, and F_{(2^61 - 1)^32}, of degree
+    # 32 but 1952 bits, past the bit bound (its modulus search took over
+    # 5 s): one budget line before the search, in every subcommand that
+    # builds the field
     system = tmp_path / "system.json"
     system.write_text('{"polys": []}')
     extra = {"sample": ["--n", "1", "--threads", "1"],
              "census": ["--threads", "1"],
              "classify": ["--system", str(system)]}[command]
-    code, out, err = _cli(command, "--q", str(3 ** 700), "--r", "3",
-                          "--s", "2", "--d", "2,2", *extra, timeout=30)
-    assert code == 3 and out == ""
-    assert err.startswith("budget:") and err.count("\n") == 1
+    for q in (3 ** 700, (2 ** 61 - 1) ** 32):
+        code, out, err = _cli(command, "--q", str(q), "--r", "3", "--s",
+                              "2", "--d", "2,2", *extra, timeout=5)
+        assert code == 3 and out == ""
+        assert err.startswith("budget:") and err.count("\n") == 1
 
 
 def _reference_decimal(frac):

@@ -1,7 +1,12 @@
+from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
+import pickle
+
 import pytest
 
 from defectus import (
-    ExtensionField, extension_of, field_make, is_prime, prime_power_decompose,
+    BudgetExceeded, ExtensionField, extension_of, field_make, is_prime,
+    prime_power_decompose,
 )
 from defectus.rng import HashStream
 
@@ -174,3 +179,33 @@ def test_is_prime_small():
     for n in range(2, 120):
         assert is_prime(n) == all(n % d for d in range(2, n))
     assert all(is_prime(p) for p in primes)
+
+
+def _refuse(*args):
+    raise BudgetExceeded(*args)
+
+
+def test_budget_exceeded_survives_pickling():
+    for args in [(2, 3, 4, "x"), (101, 7, "2^64", "census", "systems")]:
+        exc = BudgetExceeded(*args)
+        twin = pickle.loads(pickle.dumps(exc))
+        assert type(twin) is BudgetExceeded and str(twin) == str(exc)
+        assert (twin.base, twin.exponent, twin.budget) == args[:3]
+    # a refusal raised in a pool worker reaches the parent as itself
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=1, mp_context=fork) as pool:
+        with pytest.raises(BudgetExceeded, match=r"x needs 2\^3 "):
+            pool.submit(_refuse, 2, 3, 4, "x").result()
+
+
+def test_field_order_past_the_bit_budget_is_refused():
+    # the modulus search grows with log p as well as with the degree:
+    # (2^61 - 1)^32 (1952 bits) is refused before it starts
+    from defectus.fields import MAX_FIELD_BITS
+    mersenne = 2 ** 127 - 1
+    assert field_make(mersenne, 4).q.bit_length() <= MAX_FIELD_BITS
+    for p, k in [(2 ** 61 - 1, 32), (mersenne, 5)]:
+        with pytest.raises(BudgetExceeded,
+                           match=rf"needs {p}\^{k} elements, budget is "
+                                 rf"2\^{MAX_FIELD_BITS}"):
+            field_make(p, k)

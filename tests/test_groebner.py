@@ -522,3 +522,81 @@ def test_engine_matches_scan_reference(p, k):
             [g.terms for g in prefix.gens], gens[-1].terms, field)
         assert [items(g.terms) for g in col.gens] == \
             [items(t) for t in ref_col]
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (3, 2), (101, 1)])
+def test_exact_divide_matches_reference(p, k):
+    # None exactly where the tuple reference raises, the same quotient
+    # elsewhere; every other numerator is a planted product G*H
+    field = field_make(p, k)
+    pk = polymod._packing(3)
+    stream = HashStream("exact-divide", p, k)
+    exact = inexact = 0
+    for case in range(40):
+        div = random_poly(field, 3, 1 + case % 3 // 2, stream)
+        if div.is_zero():
+            continue
+        monic = gbmod._record(div.packed, field, pk)[0]
+        if case % 2:
+            num = Poly.from_packed(field, 3, monic) \
+                * random_poly(field, 3, 2, stream)
+        else:
+            num = random_poly(field, 3, 3, stream)
+        quot = gbmod._exact_divide(num.packed, monic, field, pk)
+        try:
+            ref = reference_groebner.exact_divide(
+                num.terms, {pk.unpack(m): c for m, c in monic.items()},
+                field, reference_groebner.grevlex_key)
+        except ArithmeticError:
+            ref = None
+        if ref is None:
+            assert quot is None
+            inexact += 1
+        else:
+            assert {pk.unpack(m): c for m, c in quot.items()} == ref
+            exact += 1
+    assert exact >= 15 and inexact >= 5
+
+
+def test_one_basis_representation(monkeypatch, f7):
+    # a basis is the list of records _reduce_basis returned; membership,
+    # dimension and unit reads use it as it stands and rebuild none
+    returned = []
+    reduce_basis = gbmod._reduce_basis
+
+    def kept(*args):
+        returned.append(reduce_basis(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(gbmod, "_reduce_basis", kept)
+    x1, x2, x3 = _vars(f7)
+    gb = groebner([x1 * x2 - x3, x2 * x2 + x1])
+    assert gb.records is returned[-1]
+    assert [g.packed for g in gb.gens] == [t for t, _ in gb.records]
+    homog = groebner([x1 * x2 - x3 * x3, x2 * x2])
+    record = gbmod._record
+    rebuilt = []
+
+    def counted(*args):
+        rebuilt.append(args)
+        return record(*args)
+
+    monkeypatch.setattr(gbmod, "_record", counted)
+    assert not normal_form(x1 * x3 + x2, gb).is_zero()
+    assert normal_form(x1 * x2 - x3, gb).is_zero()
+    assert ideal_dimension(gb) == 1 and not gb.is_unit
+    assert projective_dimension(homog) == 0
+    assert not rebuilt
+    # the witness search tests membership on term maps: it catches no
+    # inexact division, and builds a Poly only in its return
+    tree = ast.parse(Path(gbmod.__file__).with_name("classify.py")
+                     .read_text())
+    search = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "find_reducibility_witness")
+    assert not any(isinstance(node, ast.Try) for node in ast.walk(search))
+    returns = [node for node in ast.walk(search)
+               if isinstance(node, ast.Return)]
+    in_return = {id(n) for ret in returns for n in ast.walk(ret)}
+    assert all(id(node) in in_return for node in ast.walk(search)
+               if isinstance(node, ast.Name) and node.id == "Poly")

@@ -64,6 +64,29 @@ def test_classify_builds_no_reduced_basis_at_q101(monkeypatch):
     assert not calls
 
 
+def test_tracer_notes_basis_lengths_over_witness_hits():
+    # the tracer notes len(result.gens) on every groebner span; at q=4
+    # the witness search builds the reduced bases, and draw 77 is a hit
+    tracing = _load_tracing()
+    inputs, field = BoundInputs(3, 2, 4, (2, 2)), field_make(2, 2)
+    systems = [sample_system(inputs, field, HashStream("sample", 42, i))
+               for i in range(70, 80)]
+    plain = [classify(system) for system in systems]
+    assert "CertifiedReducible" in {rep.irreducibility for rep in plain}
+    tracer = tracing.Tracer()
+    traced = []
+    for key, system in enumerate(systems):
+        tracer.system = key
+        with tracer.patched():
+            traced.append(tracer.call("classify", classify, system))
+    assert traced == plain
+    spans = [s for s in tracer.spans if s[0] == "groebner.groebner"]
+    assert spans
+    for _, _, _, _, key, note in spans:
+        gb = clmod.groebner(list(systems[key].polys))
+        assert note == len(gb.records) == len(gb.gens)
+
+
 @pytest.mark.parametrize("make", [
     lambda: field_make(2, 2),
     lambda: field_make(3, 2),
