@@ -10,7 +10,9 @@ integer counters.
 Defect probabilities are reported with exact Clopper-Pearson binomial
 intervals (defect events sit near zero counts, where normal
 approximations are invalid), and the B_2 answer is always the
-certified bracket, never a point estimate.
+certified bracket, never a point estimate.  One rule judges both
+bounds in both modes, on exact counts in a census and on
+Clopper-Pearson ends in Monte Carlo.
 """
 
 from __future__ import annotations
@@ -63,6 +65,12 @@ class ExperimentConfig:
         return field_make(p, k)
 
 
+# the boolean flags of a ClassificationReport, each counted under its name
+_REPORT_FLAGS = ("in_L", "in_B0", "regular_sequence", "set_theoretic_ci",
+                 "ideal_theoretic_ci", "in_piW_rs", "in_piW_rs1", "in_B1",
+                 "in_B2_lower", "in_B2_upper")
+
+
 @dataclass(frozen=True)
 class OutcomeCounts:
     """Order-independent counters; merging is elementwise addition."""
@@ -90,26 +98,15 @@ class OutcomeCounts:
     @classmethod
     def from_report(cls, rep: ClassificationReport, n: int = 1):
         """The counts of ``n`` systems that all have report ``rep``."""
+        irr = rep.irreducibility
         return cls(
             n=n,
-            in_B0=n * rep.in_B0,
-            in_B1=n * rep.in_B1,
-            in_B2_lower=n * rep.in_B2_lower,
-            in_B2_upper=n * rep.in_B2_upper,
-            certified_irreducible=n * (
-                rep.irreducibility == CERTIFIED_IRREDUCIBLE),
-            certified_reducible=n * (
-                rep.irreducibility == CERTIFIED_REDUCIBLE),
-            undetermined=n * (
-                rep.irreducibility not in (CERTIFIED_IRREDUCIBLE,
-                                           CERTIFIED_REDUCIBLE)),
-            regular_sequence=n * rep.regular_sequence,
-            set_theoretic_ci=n * rep.set_theoretic_ci,
-            ideal_theoretic_ci=n * rep.ideal_theoretic_ci,
-            in_piW_rs=n * rep.in_piW_rs,
-            in_piW_rs1=n * rep.in_piW_rs1,
-            in_L=n * rep.in_L,
+            certified_irreducible=n * (irr == CERTIFIED_IRREDUCIBLE),
+            certified_reducible=n * (irr == CERTIFIED_REDUCIBLE),
+            undetermined=n * (irr not in (CERTIFIED_IRREDUCIBLE,
+                                          CERTIFIED_REDUCIBLE)),
             degree_drop=tuple(n * (not full) for full in rep.degree_full),
+            **{flag: n * getattr(rep, flag) for flag in _REPORT_FLAGS},
         )
 
     def __add__(self, other: "OutcomeCounts"):
@@ -262,7 +259,7 @@ def _ranges(total: int, chunks: int):
 
 
 def _map_chunks(worker, jobs, threads: int):
-    # --threads is outside input: never more processes than cores
+    # --threads is outside input: never more processes than usable CPUs
     workers = min(_workers(threads), len(jobs))
     if workers <= 1:
         return [worker(j) for j in jobs]
@@ -271,11 +268,15 @@ def _map_chunks(worker, jobs, threads: int):
 
 
 def default_threads() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform reports one (taskset and cpusets narrow it), else all."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
 def _workers(threads: int) -> int:
-    """The processes a run of ``threads`` may use: at most the cores."""
+    """The processes a run of ``threads`` may use: at most the CPUs."""
     return min(threads, default_threads())
 
 
@@ -331,79 +332,73 @@ def cp_upper_one_sided(x: int, n: int, confidence: float) -> float:
     return _solve_decreasing(_binom_cdf(x, n), alpha)
 
 
+def _cp_low(x: int, n: int, confidence: float) -> float:
+    """Lower end of the two-sided equal-tailed Clopper-Pearson interval."""
+    if x == 0:
+        return 0.0
+    # P[X >= x] = alpha/2, i.e. cdf(x-1) = 1 - alpha/2
+    alpha = 1.0 - confidence
+    return _solve_decreasing(_binom_cdf(x - 1, n), 1.0 - alpha / 2)
+
+
 def cp_interval(x: int, n: int, confidence: float):
     """Two-sided equal-tailed Clopper-Pearson interval."""
     alpha = 1.0 - confidence
-    if x == 0:
-        lo = 0.0
-    else:
-        # lower endpoint: P[X >= x] = alpha/2, i.e. cdf(x-1) = 1 - alpha/2
-        lo = _solve_decreasing(_binom_cdf(x - 1, n), 1.0 - alpha / 2)
-    if x == n:
-        hi = 1.0
-    else:
-        hi = _solve_decreasing(_binom_cdf(x, n), alpha / 2)
-    return lo, hi
+    hi = 1.0 if x == n else _solve_decreasing(_binom_cdf(x, n), alpha / 2)
+    return _cp_low(x, n, confidence), hi
+
+
+def _verdict(lower, upper, bound) -> str:
+    """PASS when the upper side is within ``bound``, FAIL when the lower
+    side already exceeds it, NOT_VERIFIED in between; compared exactly."""
+    if Fraction(upper) <= bound:
+        return "PASS"
+    if Fraction(lower) > bound:
+        return "FAIL"
+    return "NOT_VERIFIED"
 
 
 def _verdicts(counts: OutcomeCounts, bounds: BoundReport, mode: str,
               confidence: float):
-    """PASS / FAIL / NOT_VERIFIED / VACUOUS_PASS / INAPPLICABLE per bound.
+    """(verdict_B1, verdict_B2, p_1's Clopper-Pearson numbers).
 
-    Monte Carlo B_1 passes when the Clopper-Pearson upper bound clears
-    the probability bound; census B_1 compares exact counts.  B_2 is
-    judged through the certified bracket: PASS when the upper side
-    clears the bound, FAIL only when the certified lower side already
-    violates it, NOT_VERIFIED in between.  The census compares the
-    bracket's exact counts with the count bound; Monte Carlo compares
-    the one-sided Clopper-Pearson upper bound of the upper side, and the
-    lower end of the two-sided interval of the lower side, with the
-    probability bound.  Vacuous bounds (probability >= 1) are reported
-    as VACUOUS_PASS, never silently.  Returns the two verdicts and the
-    one-sided Clopper-Pearson upper bound of p_1, which every report
-    carries, so that it is solved once.
+    INAPPLICABLE and VACUOUS_PASS (a probability bound >= 1, reported,
+    never passed silently) come first; every other verdict is
+    ``_verdict`` on two sides of the bound.  A census compares exact
+    counts with the count bound: B_1's two sides are both ``in_B1``, so
+    it never reads NOT_VERIFIED, and B_2's are the certified bracket
+    [in_B2_lower, in_B2_upper].  Monte Carlo's sides, compared with the
+    probability bound, are the lower end of the two-sided interval of
+    the lower count and the one-sided upper bound of the upper count.
+    p_1's numbers (low, high, one-sided upper) are solved here once;
+    every report carries them.
     """
-    n = counts.n
-    p1_upper = cp_upper_one_sided(counts.in_B1, n, confidence)
+    n, x = counts.n, counts.in_B1
+    p1 = (*cp_interval(x, n, confidence),
+          cp_upper_one_sided(x, n, confidence))
     if not bounds.applicable:
-        return "INAPPLICABLE", "INAPPLICABLE", p1_upper
+        return "INAPPLICABLE", "INAPPLICABLE", p1
 
-    if bounds.vacuous_B1:
-        v1 = "VACUOUS_PASS"
-    elif mode == "census":
-        v1 = "PASS" if counts.in_B1 <= bounds.count_B1 else "FAIL"
-    else:
-        v1 = "PASS" if Fraction(p1_upper) <= bounds.prob_B1 \
-            else "NOT_VERIFIED"
-
-    if bounds.vacuous_B2:
-        v2 = "VACUOUS_PASS"
-    elif mode == "census":
-        if counts.in_B2_upper <= bounds.count_B2:
-            v2 = "PASS"
-        elif counts.in_B2_lower > bounds.count_B2:
-            v2 = "FAIL"
-        else:
-            v2 = "NOT_VERIFIED"
-    else:
-        upper = cp_upper_one_sided(counts.in_B2_upper, n, confidence)
-        lower, _ = cp_interval(counts.in_B2_lower, n, confidence)
-        if Fraction(upper) <= bounds.prob_B2:
-            v2 = "PASS"
-        elif Fraction(lower) > bounds.prob_B2:
-            v2 = "FAIL"
-        else:
-            v2 = "NOT_VERIFIED"
-    return v1, v2, p1_upper
+    census = mode == "census"
+    v1 = v2 = "VACUOUS_PASS"
+    if not bounds.vacuous_B1:
+        v1 = (_verdict(x, x, bounds.count_B1) if census
+              else _verdict(p1[0], p1[2], bounds.prob_B1))
+    if not bounds.vacuous_B2:
+        lower, upper = counts.in_B2_lower, counts.in_B2_upper
+        v2 = (_verdict(lower, upper, bounds.count_B2) if census
+              else _verdict(_cp_low(lower, n, confidence),
+                            cp_upper_one_sided(upper, n, confidence),
+                            bounds.prob_B2))
+    return v1, v2, p1
 
 
 def _assemble(config: ExperimentConfig, counts: OutcomeCounts,
               t0: float) -> EstimateReport:
     bounds = derive(config.inputs)
     n = counts.n
-    v1, v2, p1_upper = _verdicts(counts, bounds, config.mode,
-                                 config.confidence)
-    lo, hi = cp_interval(counts.in_B1, n, config.confidence)
+    v1, v2, (lo, hi, p1_upper) = _verdicts(counts, bounds, config.mode,
+                                           config.confidence)
     return EstimateReport(
         mode=config.mode,
         inputs=config.inputs,

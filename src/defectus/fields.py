@@ -88,6 +88,10 @@ class BudgetExceeded(RuntimeError):
         return self.base ** self.exponent
 
 
+class ReducibleModulus(ValueError):
+    """An extension's modulus has a factor; the search draws another."""
+
+
 class Field:
     """What every field shares: the element model and its equality.
 
@@ -198,7 +202,7 @@ class ExtensionField(Field):
         if len(modulus) != degree + 1 or modulus[-1] != base.one:
             raise ValueError("modulus must be monic of the stated degree")
         if not _upoly_is_irreducible(base, modulus):
-            raise ValueError("modulus is reducible")
+            raise ReducibleModulus("modulus is reducible")
         self.base = base
         self.degree = degree
         self.modulus = tuple(modulus)
@@ -679,6 +683,8 @@ def extension_of(base: Field, degree: int, seed: int = 0,
     stream = HashStream(label, base.p, base.k, degree, seed)
     while True:
         coeffs = tuple(stream.randint(base.q) for _ in range(degree))
-        modulus = coeffs + (base.one,)
-        if _upoly_is_irreducible(base, modulus):
-            return _extension(base, degree, modulus)
+        try:
+            # the constructor's own test is the search's only one
+            return _extension(base, degree, coeffs + (base.one,))
+        except ReducibleModulus:
+            pass

@@ -1,13 +1,16 @@
+import dataclasses
 import hashlib
 import json
 import math
+import os
 
 import pytest
 
 from defectus import (
-    BoundInputs, BudgetExceeded, ExperimentConfig, OutcomeCounts, cp_interval,
-    cp_upper_one_sided, derive, field_make, linear_census_oracle, run_census,
-    run_monte_carlo, sample_system, system_from_census_index,
+    CERTIFIED_REDUCIBLE, BoundInputs, BudgetExceeded, ClassificationReport,
+    ExperimentConfig, OutcomeCounts, cp_interval, cp_upper_one_sided, derive,
+    field_make, linear_census_oracle, run_census, run_monte_carlo,
+    sample_system, system_from_census_index,
 )
 import defectus.experiment as experiment
 from defectus.classify import classify
@@ -274,6 +277,17 @@ def test_pool_is_capped_at_the_machine(monkeypatch):
     assert report.counts.n == 40
 
 
+def test_default_threads_reads_the_affinity_set(monkeypatch):
+    # under taskset or a cpuset the process may use fewer CPUs than the
+    # machine has, and no more workers than those can run
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert experiment.default_threads() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert experiment.default_threads() == 8
+
+
 def test_cp_closed_forms():
     # x = 0: the one-sided upper bound is 1 - alpha^(1/n) exactly
     for n, conf in ((20000, 0.99), (500, 0.95), (50, 0.99)):
@@ -392,19 +406,74 @@ def test_mc_b2_verdict_needs_confidence():
     assert rep.verdict_B2 == "NOT_VERIFIED"
 
 
-def test_mc_b2_verdict_outcomes():
-    # prob_B2 = 4096/10201 ~ 0.40 at q=101, d=(2,2)
-    bounds = derive(BoundInputs(3, 2, 101, (2, 2)))
+def test_verdict_outcomes():
+    # q=101, d=(2,2): prob_B1 = 32768/1030301 ~ 0.032 and
+    # prob_B2 = 4096/10201 ~ 0.40; one rule decides both bounds in both
+    # modes, so Monte Carlo B_1 fails once its CP lower end passes prob_B1
+    mc = derive(BoundInputs(3, 2, 101, (2, 2)))
+    # the shape's census, 101^20 systems, is out of reach, and so is the
+    # CP solve of p_1 on its counts: the census rows judge 1000 systems
+    # against count bounds of 40 (B_1) and 60 (B_2)
+    census = dataclasses.replace(mc, count_B1=40, count_B2=60)
+    # (bounds, mode, n, in_B1, in_B2_lower, in_B2_upper, B_1, B_2); the
+    # comments give the CP lower end of the count that decides
+    table = [
+        (mc, "monte_carlo", 200, 0, 0, 3, "PASS", "PASS"),
+        (mc, "monte_carlo", 200, 0, 0, 90, "PASS", "NOT_VERIFIED"),  # 0
+        (mc, "monte_carlo", 200, 0, 90, 90, "PASS", "NOT_VERIFIED"),  # .36
+        (mc, "monte_carlo", 200, 0, 120, 120, "PASS", "FAIL"),  # .51
+        (mc, "monte_carlo", 200, 0, 0, 0, "PASS", "PASS"),
+        (mc, "monte_carlo", 200, 5, 5, 5, "NOT_VERIFIED", "PASS"),
+        (mc, "monte_carlo", 200, 7, 7, 7, "NOT_VERIFIED", "PASS"),
+        (mc, "monte_carlo", 200, 15, 15, 15, "FAIL", "PASS"),  # .035
+        (mc, "monte_carlo", 200, 120, 120, 120, "FAIL", "FAIL"),
+        (census, "census", 1000, 40, 0, 0, "PASS", "PASS"),
+        (census, "census", 1000, 41, 0, 0, "FAIL", "PASS"),
+        (census, "census", 1000, 0, 59, 60, "PASS", "PASS"),
+        (census, "census", 1000, 0, 60, 61, "PASS", "NOT_VERIFIED"),
+        (census, "census", 1000, 0, 61, 62, "PASS", "FAIL"),
+    ]
+    for bounds, mode, n, b1, lower, upper, want_b1, want_b2 in table:
+        counts = OutcomeCounts(n=n, in_B1=b1, in_B2_lower=lower,
+                               in_B2_upper=upper, degree_drop=(0, 0))
+        got = _verdicts(counts, bounds, mode, 0.99)[:2]
+        assert got == (want_b1, want_b2), (mode, b1, lower, upper)
 
-    def verdict_b2(lower, upper, n=200):
-        counts = OutcomeCounts(n=n, in_B2_lower=lower, in_B2_upper=upper,
-                               degree_drop=(0, 0))
-        return _verdicts(counts, bounds, "monte_carlo", 0.99)[1]
 
-    assert verdict_b2(0, 3) == "PASS"
-    assert verdict_b2(0, 90) == "NOT_VERIFIED"   # 0.45 > 0.40, not certain
-    assert verdict_b2(90, 90) == "NOT_VERIFIED"  # CP lower end ~0.36
-    assert verdict_b2(120, 120) == "FAIL"        # CP lower end ~0.51
+def test_assemble_solves_each_cp_end_once(monkeypatch):
+    # p_1's low, high and one-sided upper end, plus, in Monte Carlo, the
+    # low end of in_B2_lower and the one-sided end of in_B2_upper
+    solves = []
+    solve = experiment._solve_decreasing
+
+    def counted(fn, target):
+        solves.append(target)
+        return solve(fn, target)
+
+    monkeypatch.setattr(experiment, "_solve_decreasing", counted)
+    counts = OutcomeCounts(n=200, in_B1=5, in_B2_lower=7, in_B2_upper=9,
+                           degree_drop=(0, 0))
+    inputs = BoundInputs(3, 2, 101, (2, 2))
+    for mode, want in (("monte_carlo", 5), ("census", 3)):
+        config = ExperimentConfig(inputs=inputs, mode=mode, n_samples=200)
+        solves.clear()
+        experiment._assemble(config, counts, 0.0)
+        assert len(solves) == want, mode
+
+
+def test_every_report_flag_is_counted():
+    # from_report counts each boolean flag of a report under its name
+    flags = [f.name for f in dataclasses.fields(ClassificationReport)
+             if f.type in (bool, "bool")]
+    assert len(flags) == 10
+    assert set(flags) <= {f.name for f in dataclasses.fields(OutcomeCounts)}
+    for value in (True, False):
+        rep = ClassificationReport(
+            degree_full=(True, False), regular_sequence_failure_index=None,
+            fiber_dim=0, irreducibility=CERTIFIED_REDUCIBLE,
+            **dict.fromkeys(flags, value))
+        counts = OutcomeCounts.from_report(rep, 3)
+        assert all(getattr(counts, name) == 3 * value for name in flags)
 
 
 def test_inapplicable_verdict_linear():

@@ -8,6 +8,7 @@ from defectus import (
     BudgetExceeded, ExtensionField, extension_of, field_make, is_prime,
     prime_power_decompose,
 )
+from defectus.fields import PackedField, TableField
 from defectus.rng import HashStream
 
 from randomized_checks import ensure_min_size
@@ -209,3 +210,35 @@ def test_field_order_past_the_bit_budget_is_refused():
                            match=rf"needs {p}\^{k} elements, budget is "
                                  rf"2\^{MAX_FIELD_BITS}"):
             field_make(p, k)
+
+
+@pytest.mark.parametrize("cls", [ExtensionField, TableField, PackedField])
+def test_constructor_refuses_a_reducible_modulus(cls):
+    f2 = field_make(2, 1)
+    # x^2 + 1 = (x + 1)^2 and x^17 + 1 = (x + 1)(x^16 + ... + 1) over F_2
+    for modulus in [(1, 0, 1), (1,) + (0,) * 16 + (1,)]:
+        with pytest.raises(ValueError, match="reducible"):
+            cls(f2, len(modulus) - 1, modulus)
+
+
+def test_search_tests_the_accepted_modulus_once(monkeypatch):
+    # the search leaves the test to the constructor, so an accepted
+    # modulus is tested once, not by the search and again on building
+    import defectus.fields as fmod
+    calls = []
+    irreducible = fmod._upoly_is_irreducible
+
+    def counted(base, modulus):
+        calls.append(modulus)
+        return irreducible(base, modulus)
+
+    monkeypatch.setattr(fmod, "_upoly_is_irreducible", counted)
+    field = field_make(3, 5, 424242)  # a seed no other test builds
+    assert calls.count(field.modulus) == 1
+    assert calls[-1] == field.modulus
+
+
+def test_degree_one_extension_is_refused_at_once():
+    # not a reducibility refusal, so the search does not draw again
+    with pytest.raises(ValueError, match="at least 2"):
+        extension_of(field_make(2, 1), 1)
