@@ -70,8 +70,11 @@ except at q=2, r=4, d=(2,2), where it needs one degree more.  The gate
 keeps it off where it does not pay: with a cubic generator the least
 degree filled on none of 30 draws at q=101, r=3, d=(3,2) (1.0 ms spent
 before a 6.4 ms run), and the degree that does fill cost 9.9 ms (41 ms
-against a 23 ms run at d=(3,3)).  The test itself runs over any field;
-the gate keeps extension fields out until their gain is measured.
+against a 23 ms run at d=(3,3)).  The test itself runs over any field,
+and the gate keeps extension fields out because it did not pay there:
+with the gate lifted, only q=8 at r=3 ran the fiber stage clearly
+faster (0.60 -> 0.42 ms a system), q=9 at r=3 ran slower (0.78 ->
+0.85 ms), and at r=4 q=4 went 2.25 -> 3.42 ms and q=9 2.57 -> 4.30 ms.
 
 Irreducibility is a certified trichotomy, not a decision procedure:
 a small singular locus (fiber_dim <= r-s-2 on a full-degree system
@@ -194,7 +197,8 @@ def _fiber_dims(system: PolySystem) -> tuple:
     homog = system.homogenized()
     gens = homog + jacobian_minors(homog)
     # the whole policy of the rank test: fills_degree answers over any
-    # field, but over an extension field it has not been measured to pay
+    # field, but over an extension field it was measured not to pay
+    # (module docstring)
     if (field.q == field.p and all(g.degree() <= 2 for g in gens)
             and fills_degree(gens, field)):
         return -1, -1

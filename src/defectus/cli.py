@@ -93,16 +93,34 @@ def _dumps(obj) -> str:
         return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _open_output(path: str, **kwargs):
-    """``open(path, "w")``; an unwritable path is a validation error."""
+@contextmanager
+def _writing():
+    """A failed open, write, flush or close of an output is a validation
+    error."""
     try:
-        return open(path, "w", **kwargs)
+        yield
     except OSError as exc:
         raise ValueError(f"cannot write output file: {exc}")
 
 
+@contextmanager
+def _output(path: str, **kwargs):
+    """``open(path, "w")``, closed, and so flushed, under ``_writing``."""
+    with _writing():
+        fh = open(path, "w", **kwargs)
+    try:
+        yield fh
+    finally:
+        with _writing():
+            fh.close()
+
+
 def _emit(obj, args) -> None:
-    args.stream.write(_dumps(obj))
+    # flushed here, so that stdout fails inside the handled region and
+    # not at the interpreter's exit
+    with _writing():
+        args.stream.write(_dumps(obj))
+        args.stream.flush()
 
 
 def _cmd_bounds(args) -> int:
@@ -160,14 +178,16 @@ def _cmd_census(args) -> int:
         report, _ = run_census(config)
     else:
         # opened first, so an unwritable path fails before any system
-        with _open_output(args.dump_csv, newline="") as fh:
+        with _output(args.dump_csv, newline="") as fh:
             report, rows = run_census(config, dump_rows=True)
             writer = csv.writer(fh)
-            writer.writerow(_CSV_COLUMNS)
-            for idx, rep in rows:
-                values = [getattr(rep, name) for name in _CSV_COLUMNS[1:]]
-                writer.writerow([idx] + [int(v) if isinstance(v, bool)
-                                         else v for v in values])
+            with _writing():
+                writer.writerow(_CSV_COLUMNS)
+                for idx, rep in rows:
+                    values = [getattr(rep, name)
+                              for name in _CSV_COLUMNS[1:]]
+                    writer.writerow([idx] + [int(v) if isinstance(v, bool)
+                                             else v for v in values])
     _emit(report.to_json_dict(include_meta=not args.no_meta), args)
     return 0
 
@@ -187,8 +207,9 @@ def _cmd_selftest(args) -> int:
     def field_axioms():
         from .rng import HashStream
         f4 = field_make(2, 2, 0)
-        # the large fields exercise the packed multiply (F_101^4) and
-        # Euclid's inverse on a tower (F_4^10)
+        # the large fields exercise the ring product's Kronecker form
+        # (F_101^4), its schoolbook form on a tower (F_4^10) and Euclid's
+        # inverse on both
         for field in (field_make(7, 1), f4,
                       extension_of(field_make(101, 1), 4),
                       extension_of(f4, 10)):
@@ -336,7 +357,7 @@ def main(argv=None) -> int:
     try:
         # opened first, as a shell redirection would be: an unwritable
         # path fails before any work
-        with _open_output(out) if out else nullcontext(sys.stdout) as fh:
+        with _output(out) if out else nullcontext(sys.stdout) as fh:
             args.stream = fh
             return args.fn(args)
     except BudgetExceeded as exc:

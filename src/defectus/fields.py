@@ -23,19 +23,18 @@ over F_p in the basis built level by level.  Hence
     embedding a field into an extension built over it is the identity;
   * the integer n maps to the constant n mod p in every field.
 
-Each extension picks its multiply once, by order, when it is built:
-  * q <= 2**16 (``TableField``): log/exp tables over a primitive
-    element (Lidl & Niederreiter, *Finite Fields*), built with the
-    field through the schoolbook multiply it inherits;
-  * q > 2**16 over a prime base (``PackedField``): the digits go into
-    bit slots wide enough for every convolution sum, one bigint product
-    multiplies the polynomials (Kronecker substitution, von zur Gathen
-    & Gerhard, *Modern Computer Algebra*, ch. 8), and the high slots
-    fold back through the reductions of t^k .. t^(2k-2);
-  * q > 2**16 over an extension base (``ExtensionField`` itself):
-    schoolbook on the base-field digits, folded the same way.
-Outside the tables, inversion is extended Euclid on the digits, with
-nothing remembered between calls.
+Every extension multiplies through one rule, ``_ring_product``: the
+digits of the factors are convolved, and the high coefficients fold
+back through the reductions of t^k .. t^(2k-2).  Over a prime base the
+convolution is one bigint product of the digits packed into bit slots
+(Kronecker substitution, von zur Gathen & Gerhard, *Modern Computer
+Algebra*, ch. 8); over an extension base it is schoolbook on the
+base-field digits.  The modulus search's irreducibility test raises X
+to the powers Q^i through the same product.  Up to q = 2**16
+(``TableField``) the field also builds log/exp tables over a primitive
+element with it (Lidl & Niederreiter, *Finite Fields*) and multiplies
+and inverts by lookup.  Outside the tables, inversion is extended
+Euclid on the digits, with nothing remembered between calls.
 
 ``_digits`` is the one base-q digit codec of the package: besides the
 extension arithmetic here, the census decoder (``experiment``), point
@@ -54,7 +53,7 @@ one refusal) before the search.
 from __future__ import annotations
 
 import math
-from functools import cache, partial
+from functools import cache
 from operator import pos, xor
 
 from .rng import HashStream
@@ -184,15 +183,16 @@ class PrimeField(Field):
 class ExtensionField(Field):
     """Degree-k extension of ``base`` modulo a monic irreducible.
 
-    Multiplies by schoolbook and inverts by extended Euclid; the
-    subclasses replace both where q allows faster ones.  ``add``,
-    ``sub`` and ``neg`` are chosen per instance: XOR in characteristic
-    2, the base-p digit loops otherwise.  ``extension_of`` and
-    ``field_make`` build through a cache and pick the class by order.
+    Multiplies through ``_ring_product``, which the base picks (module
+    docstring), and inverts by extended Euclid; ``TableField`` replaces
+    both where q allows tables.  ``add``, ``sub`` and ``neg`` are chosen
+    per instance: XOR in characteristic 2, the base-p digit loops
+    otherwise.  ``extension_of`` and ``field_make`` build through a
+    cache and choose tables by order.
     """
 
     __slots__ = (
-        "base", "degree", "modulus", "p", "k", "q", "_red", "_key",
+        "base", "degree", "modulus", "p", "k", "q", "_product", "_key",
         "add", "sub", "neg",
     )
 
@@ -210,16 +210,7 @@ class ExtensionField(Field):
         self.k = base.k * degree
         self.q = base.q ** degree
         self._key = ("ext", base._key, degree, self.modulus)
-        # _red[j] = digits of t^(degree+j) reduced mod the modulus, built
-        # by the recurrence t^(degree+j+1) = t * t^(degree+j)
-        red = [[base.neg(c) for c in modulus[:degree]]]
-        for _ in range(degree - 2):
-            prev = red[-1]
-            shifted = [0] + prev[:-1]
-            overflow = prev[-1]
-            red.append([base.add(shifted[i], base.mul(overflow, red[0][i]))
-                        for i in range(degree)])
-        self._red = tuple(map(tuple, red))
+        self._product = _ring_product(base, self.modulus)
         if self.p == 2:
             self.add = self.sub = xor
             self.neg = pos
@@ -257,26 +248,9 @@ class ExtensionField(Field):
         return self._sub(0, a)
 
     def mul(self, a, b):
-        """Schoolbook: digit convolution, then the ``_red`` fold."""
-        if not a or not b:
-            return 0
-        base = self.base
-        add, mul = base.add, base.mul
-        k = self.degree
-        x, y = _digits(a, base.q, k), _digits(b, base.q, k)
-        conv = [0] * (2 * k - 1)
-        for i, xi in enumerate(x):
-            if xi:
-                for j, yj in enumerate(y):
-                    if yj:
-                        conv[i + j] = add(conv[i + j], mul(xi, yj))
-        out = conv[:k]
-        for c, row in zip(conv[k:], self._red):
-            if c:
-                for i, r in enumerate(row):
-                    if r:
-                        out[i] = add(out[i], mul(c, r))
-        return _from_digits(out, base.q)
+        # a method of the class body, where a tracer patching
+        # vars(type(field)) finds it
+        return self._product(a, b)
 
     def inv(self, a):
         """Inverse by extended Euclid against the modulus, on digits."""
@@ -319,7 +293,8 @@ class TableField(ExtensionField):
     """q <= 2**16: multiply and invert through log/exp tables.
 
     ``_exp`` lists g^0 .. g^(q-2) twice over, so a sum of two logs
-    indexes it without a reduction.  Addition is the inherited one.
+    indexes it without a reduction.  The tables are built through the
+    ring product, and addition is the inherited one.
     """
 
     __slots__ = ("_log", "_exp")
@@ -328,8 +303,7 @@ class TableField(ExtensionField):
         super().__init__(base, degree, modulus)
         p, q = self.p, self.q
         order = q - 1
-        # the inherited schoolbook multiply computes the tables
-        mul = partial(ExtensionField.mul, self)
+        mul = self._product
         g = _primitive_element(q, mul)
         # x -> x*g is F_p-linear in the base-p digits: cut x into chunks
         # of c <= k digits (radix R = p^c <= 256) and add up the images of
@@ -367,57 +341,6 @@ class TableField(ExtensionField):
         return self._exp[-self._log[a]]
 
 
-class PackedField(ExtensionField):
-    """q > 2**16 over a prime base: Kronecker-packed multiply.
-
-    A w-bit slot per digit holds every coefficient of the product and
-    of its fold, (2k-1)(p-1)^2 at most, so one bigint product and k-1
-    scaled adds of the packed rows of ``_red`` never carry across
-    slots.
-    """
-
-    __slots__ = ("_w", "_mask", "_red_packed")
-
-    def __init__(self, base, degree, modulus):
-        super().__init__(base, degree, modulus)
-        w = self._w = ((2 * degree - 1) * (self.p - 1) ** 2).bit_length()
-        self._mask = (1 << w) - 1
-        self._red_packed = tuple(_from_digits(row, 1 << w)
-                                 for row in self._red)
-
-    def mul(self, a, b):
-        if not a or not b:
-            return 0
-        w, mask, p = self._w, self._mask, self.p
-        pa = shift = 0
-        while a:
-            a, d = divmod(a, p)
-            pa |= d << shift
-            shift += w
-        pb = shift = 0
-        while b:
-            b, d = divmod(b, p)
-            pb |= d << shift
-            shift += w
-        prod = pa * pb
-        k = self.degree
-        low = prod & ((1 << (w * k)) - 1)
-        shift = w * k
-        for row in self._red_packed:
-            h = (prod >> shift) & mask
-            if h:
-                low += (h % p) * row
-            shift += w
-        out = 0
-        for shift in range(w * (k - 1), -1, -w):
-            out = out * p + ((low >> shift) & mask) % p
-        return out
-
-    # in this class's own body, like mul, so that a tracer patching
-    # vars(type(field)) finds both
-    inv = ExtensionField.inv
-
-
 def _digits(n, radix, count):
     """The ``count`` lowest base-``radix`` digits of n, little-endian."""
     out = []
@@ -432,6 +355,80 @@ def _from_digits(digits, radix):
     for d in reversed(digits):
         out = out * radix + d
     return out
+
+
+def _ring_product(base: Field, modulus):
+    """The product of F_Q[X]/(modulus), Q = base.q, on base-Q digit ints.
+
+    The k digits of the factors are convolved, and the coefficient of
+    X^(k+j) folds back through ``rows[j]``, the digits of X^(k+j) mod the
+    modulus.  Over a prime base the convolution is one bigint product: a
+    w-bit slot per digit holds every coefficient of the product and of
+    its fold, (2k-1)(p-1)^2 at most, so nothing carries across slots.
+    Over an extension base it is schoolbook on the base-field digits.
+    The modulus need not be irreducible, so the irreducibility test
+    multiplies in the same ring.
+    """
+    k = len(modulus) - 1
+    add, mul = base.add, base.mul
+    # rows[j+1] = X * rows[j]: shift up, fold the top digit through rows[0]
+    rows = [[base.neg(c) for c in modulus[:k]]]
+    for _ in range(k - 2):
+        prev = rows[-1]
+        rows.append([add(s, mul(prev[-1], r))
+                     for s, r in zip([0] + prev[:-1], rows[0])])
+    if isinstance(base, PrimeField):
+        p = base.p
+        w = ((2 * k - 1) * (p - 1) ** 2).bit_length()
+        mask, top = (1 << w) - 1, w * k
+        packed = [_from_digits(row, 1 << w) for row in rows]
+
+        def product(a, b):
+            if not a or not b:
+                return 0
+            pa = shift = 0
+            while a:
+                a, d = divmod(a, p)
+                pa |= d << shift
+                shift += w
+            pb = shift = 0
+            while b:
+                b, d = divmod(b, p)
+                pb |= d << shift
+                shift += w
+            prod = pa * pb
+            low = prod & ((1 << top) - 1)
+            shift = top
+            for row in packed:
+                h = (prod >> shift) & mask
+                if h:
+                    low += (h % p) * row
+                shift += w
+            out = 0
+            for shift in range(top - w, -1, -w):
+                out = out * p + ((low >> shift) & mask) % p
+            return out
+        return product
+    Q = base.q
+
+    def product(a, b):
+        if not a or not b:
+            return 0
+        x, y = _digits(a, Q, k), _digits(b, Q, k)
+        conv = [0] * (2 * k - 1)
+        for i, xi in enumerate(x):
+            if xi:
+                for j, yj in enumerate(y):
+                    if yj:
+                        conv[i + j] = add(conv[i + j], mul(xi, yj))
+        out = conv[:k]
+        for c, row in zip(conv[k:], rows):
+            if c:
+                for i, r in enumerate(row):
+                    if r:
+                        out[i] = add(out[i], mul(c, r))
+        return _from_digits(out, Q)
+    return product
 
 
 def _power(mul, a, e: int):
@@ -589,31 +586,23 @@ def _upoly_exgcd(field, a, m):
     return r0, u0
 
 
-def _upoly_pow_mod(field, a, e, m):
-    result = [field.one]
-    base = _upoly_divmod(field, a, m)[1]
-    while e:
-        if e & 1:
-            result = _upoly_divmod(field, _upoly_mul(field, result, base), m)[1]
-        base = _upoly_divmod(field, _upoly_mul(field, base, base), m)[1]
-        e >>= 1
-    return result
-
-
 def _upoly_is_irreducible(base: Field, modulus) -> bool:
     """Irreducibility of a monic degree-k polynomial over ``base``.
 
     g of degree k is irreducible iff it shares no factor with
     X^(Q^i) - X for i up to k/2 (no irreducible factor of degree <= k/2),
-    Q being the base field order.
+    Q being the base field order.  The powers of X are taken in
+    F_Q[X]/(g) through ``_ring_product``.
     """
     k = len(modulus) - 1
     if k == 1:
         return True
-    h = [base.zero, base.one]
+    product = _ring_product(base, modulus)
+    Q = base.q
+    h = Q  # the class of X: digits (0, 1)
     for _ in range(k // 2):
-        h = _upoly_pow_mod(base, h, base.q, modulus)
-        diff = h + [base.zero] * (2 - len(h))
+        h = _power(product, h, Q)
+        diff = _digits(h, Q, k)
         diff[1] = base.sub(diff[1], base.one)
         g, _ = _upoly_exgcd(base, diff, modulus)
         if len(g) != 1:
@@ -623,13 +612,8 @@ def _upoly_is_irreducible(base: Field, modulus) -> bool:
 
 @cache
 def _extension(base: Field, degree: int, modulus: tuple) -> ExtensionField:
-    """The extension modulo ``modulus``, its multiply chosen by order."""
-    if base.q ** degree <= TABLE_MAX:
-        cls = TableField
-    elif isinstance(base, PrimeField):
-        cls = PackedField
-    else:
-        cls = ExtensionField
+    """The extension modulo ``modulus``, with tables up to ``TABLE_MAX``."""
+    cls = TableField if base.q ** degree <= TABLE_MAX else ExtensionField
     return cls(base, degree, modulus)
 
 
@@ -651,15 +635,15 @@ def field_make(p: int, k: int, seed: int = 0) -> Field:
     return extension_of(base, k, seed, label="modulus")
 
 
-# the largest degree over F_p of a field that is built: the modulus
-# search took 0.26 s (p=2), 0.55 s (p=3) and 1.17 s (p=101) at k = 64,
-# 1.16 s at p=2, k = 128 (2 vCPUs, CPython 3.11)
+# the largest degree over F_p of a field that is built: field_make took
+# 0.13 s (p=2), 0.26 s (p=3) and 0.16 s (p=101) at k = 64, and 0.22 s
+# at p=2, k = 128 (2 vCPUs, CPython 3.11)
 MAX_DEGREE = 64
 # the largest bit length of q = p^k: the search also grows with log p.
-# field_make took 1.2 s at 65521^32 (512 bits), 0.8-1.3 s at
-# (2^31 - 1)^16 and (2^32 - 5)^16, 0.04 s at (2^127 - 1)^4, 1.3-1.7 s
-# at 101^64 and 6.8 s at 251^64 (the seeded search's luck); above it,
-# 1.7 s at (2^31 - 1)^32, 5.4 s at (2^61 - 1)^32 and over 60 s at
+# field_make took 0.09 s at 65521^32 (512 bits), 0.11-0.20 s at
+# (2^31 - 1)^16 and (2^32 - 5)^16, 0.006 s at (2^127 - 1)^4, 0.16 s at
+# 101^64 and 1.0-1.1 s at 251^64 (the seeded search's luck); above it,
+# 0.08 s at (2^31 - 1)^32, 0.43 s at (2^61 - 1)^32 and 18 s at
 # (2^61 - 1)^64 (2 vCPUs, CPython 3.11)
 MAX_FIELD_BITS = 512
 

@@ -120,6 +120,24 @@ def test_unwritable_out_fails_before_the_run(tmp_path, capsys, monkeypatch,
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+# opens for writing, then refuses every write with ENOSPC
+FULL = "/dev/full"
+needs_full = pytest.mark.skipif(not os.path.exists(FULL),
+                                reason="no /dev/full on this system")
+
+
+@needs_full
+@pytest.mark.parametrize("flag,argv", [
+    ("--out", ["bounds", "--q", "101", "--d", "2,2"]),
+    ("--dump-csv", ["census", "--q", "2", "--d", "1,1", "--threads", "1"]),
+], ids=["out", "dump-csv"])
+def test_full_output_is_a_validation_error(capsys, flag, argv):
+    code, out, err = _run(capsys, *argv, "--r", "3", "--s", "2", flag, FULL)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write output file")
+    assert err.count("\n") == 1
+
+
 def test_unknown_flag_is_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bounds", "--r", "3", "--s", "2", "--d", "2,2", "--q", "7",
@@ -148,15 +166,28 @@ def test_huge_q(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def _cli(*argv, timeout=60):
+def _cli(*argv, timeout=60, stdout=subprocess.PIPE):
     """Run the CLI in a subprocess: a regression fails the test by its
-    timeout instead of hanging the suite.  (exit code, stdout, stderr)."""
+    timeout instead of hanging the suite.  (exit code, stdout, stderr),
+    stdout None where the caller gave its own."""
     src = str(Path(defectus.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-m", "defectus.cli", *argv],
-                          capture_output=True, text=True, env=env,
-                          timeout=timeout)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          env=env, timeout=timeout)
     return done.returncode, done.stdout, done.stderr
+
+
+@needs_full
+def test_full_stdout_is_a_validation_error():
+    # the report is flushed inside main, so the failure is handled there
+    # and does not resurface when the interpreter flushes at exit
+    with open(FULL, "w") as sink:
+        code, _, err = _cli("bounds", "--r", "3", "--s", "2", "--d", "2,2",
+                            "--q", "101", stdout=sink)
+    assert code == 2
+    assert err.startswith("error: cannot write output file")
+    assert err.count("\n") == 1
 
 
 def test_huge_q_with_a_small_factor_is_refused_at_once():

@@ -8,7 +8,7 @@ from defectus import (
     BudgetExceeded, ExtensionField, extension_of, field_make, is_prime,
     prime_power_decompose,
 )
-from defectus.fields import PackedField, TableField
+from defectus.fields import TableField
 from defectus.rng import HashStream
 
 from randomized_checks import ensure_min_size
@@ -212,7 +212,7 @@ def test_field_order_past_the_bit_budget_is_refused():
             field_make(p, k)
 
 
-@pytest.mark.parametrize("cls", [ExtensionField, TableField, PackedField])
+@pytest.mark.parametrize("cls", [ExtensionField, TableField])
 def test_constructor_refuses_a_reducible_modulus(cls):
     f2 = field_make(2, 1)
     # x^2 + 1 = (x + 1)^2 and x^17 + 1 = (x + 1)(x^16 + ... + 1) over F_2

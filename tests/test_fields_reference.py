@@ -7,11 +7,13 @@ are compared on every element and pair, the large ones on seeded draws.
 
 import pickle
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
 from defectus import ExtensionField, Poly, PrimeField, extension_of, field_make
-from defectus.fields import TABLE_MAX, PackedField, TableField
+import defectus.fields as fmod
+from defectus.fields import TABLE_MAX, TableField
 from defectus.rng import HashStream
 
 import reference_fields as ref
@@ -103,9 +105,8 @@ def test_large_fields_match_reference_on_draws(name):
 
 @pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 16)])
 def test_table_field_tests_its_modulus_once(monkeypatch, p, k):
-    # the tables come from the field's own schoolbook multiply, with no
-    # second field of the same modulus to test again
-    import defectus.fields as fmod
+    # the tables come from the field's own ring product, with no second
+    # field of the same modulus to test again
     made = field_make(p, k)
     calls = []
     irreducible = fmod._upoly_is_irreducible
@@ -121,17 +122,39 @@ def test_table_field_tests_its_modulus_once(monkeypatch, p, k):
 
 
 def test_multiply_is_chosen_by_order():
-    f4 = field_make(2, 2)
+    # tables are chosen by order; the product under them by the base, in
+    # _ring_product, whatever the class
+    f4, f101 = field_make(2, 2), field_make(101, 1)
     assert type(field_make(2, 16)) is TableField and 2 ** 16 == TABLE_MAX
-    assert type(field_make(2, 17)) is PackedField
-    assert type(ensure_min_size(field_make(101, 1), 1 << 20)) is PackedField
+    assert type(field_make(2, 17)) is ExtensionField
+    assert type(ensure_min_size(f101, 1 << 20)) is ExtensionField
     assert type(ensure_min_size(f4, 1 << 20)) is ExtensionField
     assert type(extension_of(f4, 3)) is TableField
 
 
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 16), (3, 2), (101, 4),
+                                 (65521, 4), (251, 12)])
+def test_kronecker_and_schoolbook_products_agree(p, k):
+    # a base with the prime field's arithmetic that is not a PrimeField
+    # takes the schoolbook branch of the same rule
+    field = field_make(p, k)
+    base = field.base
+    digits = SimpleNamespace(q=p, add=base.add, mul=base.mul, neg=base.neg)
+    kronecker = fmod._ring_product(base, field.modulus)
+    schoolbook = fmod._ring_product(digits, field.modulus)
+    stream = HashStream("ring-product", p, k)
+    draws = [stream.randint(field.q) for _ in range(60)]
+    edges = [0, 1, field.q - 1]
+    pairs = list(zip(draws, draws[1:] + draws[:1]))
+    pairs += [(a, b) for a in edges for b in draws + edges]
+    for a, b in pairs:
+        assert kronecker(a, b) == schoolbook(a, b) == field.mul(a, b)
+
+
 @pytest.mark.parametrize("name", ["F_8", "F_9", "F_101^4"])
 def test_extension_field_built_directly_has_working_arithmetic(name):
-    # the public constructor skips the factory: schoolbook and Euclid
+    # the public constructor skips the factory: no tables, the ring
+    # product and Euclid
     made = FIELDS[name]()
     field = ExtensionField(made.base, made.degree, made.modulus)
     assert type(field) is ExtensionField and field == made
