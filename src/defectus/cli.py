@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from contextlib import contextmanager, nullcontext
 
@@ -119,8 +120,24 @@ def _emit(obj, args) -> None:
     # flushed here, so that stdout fails inside the handled region and
     # not at the interpreter's exit
     with _writing():
-        args.stream.write(_dumps(obj))
-        args.stream.flush()
+        try:
+            args.stream.write(_dumps(obj))
+            args.stream.flush()
+        except OSError:
+            if args.stream is sys.stdout:
+                _silence_stdout()
+            raise
+
+
+def _silence_stdout() -> None:
+    """Point stdout at the null device.  A failed flush may keep its bytes
+    buffered, and the interpreter flushes stdout again at exit: that flush
+    must not fail a second time and turn exit 2 into 120."""
+    null = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(null, sys.stdout.fileno())
+    finally:
+        os.close(null)
 
 
 def _cmd_bounds(args) -> int:
