@@ -81,11 +81,17 @@ def _add_output_flags(sub):
                      help="write the report here instead of stdout")
 
 
-def _field_from_flags(args):
+def _prime_power_from_flags(args):
+    """(p, k) with p^k = --q, and --k checked against k; no field is
+    built, so ``bounds`` decides at any q."""
     p, k = prime_power_decompose(args.q)
     if args.k is not None and args.k != k:
         raise ValueError(f"--k {args.k} inconsistent with --q = {p}^{k}")
-    return field_make(p, k, 0)
+    return p, k
+
+
+def _field_from_flags(args):
+    return field_make(*_prime_power_from_flags(args), 0)
 
 
 def _dumps(obj) -> str:
@@ -142,6 +148,7 @@ def _silence_stdout() -> None:
 
 def _cmd_bounds(args) -> int:
     inputs = BoundInputs(args.r, args.s, args.q, _parse_d(args.d))
+    _prime_power_from_flags(args)  # validates --k against --q
     _emit(derive(inputs).to_json_dict(), args)
     return 0
 
@@ -165,7 +172,7 @@ def _cmd_classify(args) -> int:
 
 def _experiment_config(args, mode: str) -> ExperimentConfig:
     inputs = BoundInputs(args.r, args.s, args.q, _parse_d(args.d))
-    _field_from_flags(args)  # validates --k against --q
+    _field_from_flags(args)  # validates --k and the field's budget
     return ExperimentConfig(
         inputs=inputs,
         mode=mode,

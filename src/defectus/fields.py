@@ -34,7 +34,9 @@ to the powers Q^i through the same product.  Up to q = 2**16
 (``TableField``) the field also builds log/exp tables over a primitive
 element with it (Lidl & Niederreiter, *Finite Fields*) and multiplies
 and inverts by lookup.  Outside the tables, inversion is extended
-Euclid on the digits, with nothing remembered between calls.
+Euclid on the digits, one leading coefficient cancelled per step, with
+nothing remembered between calls; the modulus search's gcd is the same
+loop.
 
 ``_digits`` is the one base-q digit codec of the package: besides the
 extension arithmetic here, the census decoder (``experiment``), point
@@ -169,9 +171,7 @@ class PrimeField(Field):
         return a
 
     def decode(self, obj):
-        if not isinstance(obj, int):
-            raise ValueError(f"prime field element must be an int, got {obj!r}")
-        return obj % self.p
+        return _json_int(obj, "prime field element") % self.p
 
     def describe(self):
         return {"p": self.p, "k": 1, "q": self.p, "modulus": None}
@@ -184,7 +184,7 @@ class ExtensionField(Field):
     """Degree-k extension of ``base`` modulo a monic irreducible.
 
     Multiplies through ``_ring_product``, which the base picks (module
-    docstring), and inverts by extended Euclid; ``TableField`` replaces
+    docstring), and inverts by ``_upoly_exgcd``; ``TableField`` replaces
     both where q allows tables.  ``add``, ``sub`` and ``neg`` are chosen
     per instance: XOR in characteristic 2, the base-p digit loops
     otherwise.  ``extension_of`` and ``field_make`` build through a
@@ -253,7 +253,8 @@ class ExtensionField(Field):
         return self._product(a, b)
 
     def inv(self, a):
-        """Inverse by extended Euclid against the modulus, on digits."""
+        """Inverse by step-wise extended Euclid (``_upoly_exgcd``) of the
+        digits against the modulus, the cofactor scaled by 1/gcd."""
         if not a:
             raise ZeroDivisionError("inverse of 0")
         base = self.base
@@ -339,6 +340,14 @@ class TableField(ExtensionField):
             raise ZeroDivisionError("inverse of 0")
         # _exp[-l] = g^(2(q-1) - l) = g^(-l)
         return self._exp[-self._log[a]]
+
+
+def _json_int(obj, what: str) -> int:
+    """obj if it is a JSON integer, an int that is not a bool; the one
+    check of every number read from a system file."""
+    if isinstance(obj, bool) or not isinstance(obj, int):
+        raise ValueError(f"{what} must be a JSON integer, got {obj!r}")
+    return obj
 
 
 def _digits(n, radix, count):
@@ -526,64 +535,42 @@ def prime_power_decompose(q: int) -> tuple[int, int]:
     raise ValueError(f"{shown} is not a prime power")
 
 
-# -- univariate polynomial helpers over an arbitrary Field --------------
-# Coefficient lists are little-endian; used for the modulus search and
-# for inversion in the large extensions.
-
-def _upoly_trim(field, coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == field.zero:
-        coeffs.pop()
-    return coeffs
-
-
-def _upoly_mul(field, a, b):
-    if not a or not b:
-        return []
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == field.zero:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = field.add(out[i + j], field.mul(ai, bj))
-    return _upoly_trim(field, out)
-
-
-def _upoly_divmod(field, a, b):
-    a = list(a)
-    if not b:
-        raise ZeroDivisionError("univariate division by zero")
-    binv = field.inv(b[-1])
-    quot = [field.zero] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and a:
-        c = field.mul(a[-1], binv)
-        shift = len(a) - len(b)
-        quot[shift] = c
-        for i, bi in enumerate(b):
-            a[shift + i] = field.sub(a[shift + i], field.mul(c, bi))
-        a = _upoly_trim(field, a)
-    return _upoly_trim(field, quot), a
-
+# -- univariate Euclid over an arbitrary Field --------------------------
+# The one routine on coefficient lists: the modulus search's gcd and
+# inversion outside the tables.
 
 def _upoly_exgcd(field, a, m):
-    """Return (g, u) with g = gcd(a, m) and u*a = g mod m."""
-    r0, r1 = list(m), _upoly_trim(field, a)
-    u0, u1 = [], [field.one]
-    while r1:
-        q, rem = _upoly_divmod(field, r0, r1)
-        r0, r1 = r1, rem
-        qu1 = _upoly_mul(field, q, u1)
-        width = max(len(u0), len(qu1))
-        nxt = [
-            field.sub(
-                u0[i] if i < len(u0) else field.zero,
-                qu1[i] if i < len(qu1) else field.zero,
-            )
-            for i in range(width)
-        ]
-        u0, u1 = u1, _upoly_trim(field, nxt)
-    _, u0 = _upoly_divmod(field, u0, list(m))
-    return r0, u0
+    """(g, u) with g a gcd of a and m, u*a = g mod m and deg u < deg m.
+
+    a and m are little-endian coefficient lists, deg a < deg m.  Each
+    step cancels the leading coefficient of the longer remainder r0 with
+    c X^j times the shorter r1, and takes c X^j times r1's cofactor from
+    r0's; when r0 falls below r1 the two swap.  No quotient or product
+    is formed, and the cofactor of the last nonzero remainder already
+    has degree below deg m (von zur Gathen & Gerhard, *Modern Computer
+    Algebra*, ch. 3).
+    """
+    sub, mul = field.sub, field.mul
+    # u_i * a = r_i mod m throughout; a enters as r0, so the first pass
+    # trims it and swaps it below m
+    r0, r1, u0, u1 = list(a), list(m), [field.one], []
+    while True:
+        while r0 and not r0[-1]:
+            r0.pop()
+        if len(r0) < len(r1):
+            if not r0:
+                return r1, u1
+            r0, r1, u0, u1 = r1, r0, u1, u0
+            lead = field.inv(r1[-1])
+        c = mul(r0.pop(), lead)  # the top cancels exactly
+        j = len(r0) + 1 - len(r1)
+        for i, x in enumerate(r1[:-1]):
+            if x:
+                r0[i + j] = sub(r0[i + j], mul(c, x))
+        u0 += [0] * (j + len(u1) - len(u0))
+        for i, x in enumerate(u1):
+            if x:
+                u0[i + j] = sub(u0[i + j], mul(c, x))
 
 
 def _upoly_is_irreducible(base: Field, modulus) -> bool:

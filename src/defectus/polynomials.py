@@ -47,7 +47,7 @@ from operator import lshift
 import hashlib
 import json
 
-from .fields import Field
+from .fields import Field, _json_int
 
 NEG_INF = float("-inf")
 
@@ -453,10 +453,12 @@ class Poly:
     @classmethod
     def from_json_dict(cls, field, obj):
         try:
-            nvars = int(obj["nvars"])
+            nvars = _json_int(obj["nvars"], "nvars")
             terms = {}
             for t in obj["terms"]:
-                m = tuple(int(e) for e in t["exp"])
+                m = tuple(_json_int(e, "an exponent") for e in t["exp"])
+                if m in terms:
+                    raise ValueError(f"repeated exponent vector {list(m)}")
                 terms[m] = field.decode(t["c"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed polynomial encoding: {exc}") from exc
@@ -516,16 +518,17 @@ class PolySystem:
         try:
             for key, given in (("r", r), ("s", s)):
                 if key in obj and given is not None \
-                        and int(obj[key]) != given:
+                        and _json_int(obj[key], key) != given:
                     raise ValueError(
                         f"system file '{key}' disagrees with flags")
             if "d" in obj and caps is not None \
-                    and tuple(int(x) for x in obj["d"]) != tuple(caps):
+                    and tuple(_json_int(x, "d") for x in obj["d"]) \
+                    != tuple(caps):
                 raise ValueError("system file 'd' disagrees with flags")
-            r = r if r is not None else int(obj["r"])
-            s = s if s is not None else int(obj["s"])
+            r = r if r is not None else _json_int(obj["r"], "r")
+            s = s if s is not None else _json_int(obj["s"], "s")
             caps = tuple(caps) if caps is not None \
-                else tuple(int(x) for x in obj["d"])
+                else tuple(_json_int(x, "d") for x in obj["d"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed system header: {exc}") from exc
         polys = tuple(Poly.from_json_dict(field, p) for p in obj["polys"])

@@ -259,6 +259,44 @@ def test_k_flag_validation(capsys):
     assert code == 2 and "inconsistent" in err
 
 
+def test_bounds_checks_k_without_building_the_field(capsys):
+    code, out, err = _run(capsys, "bounds", "--q", "101", "--r", "3",
+                          "--s", "2", "--d", "2,2", "--k", "3")
+    assert code == 2 and out == "" and "inconsistent" in err
+    assert err.startswith("error:") and err.count("\n") == 1
+    # F_{3^700} is past MAX_DEGREE: a field built here would be refused
+    code, out, err = _run(capsys, "bounds", "--q", str(3 ** 700), "--r",
+                          "3", "--s", "2", "--d", "2,2", "--k", "700")
+    assert code == 0 and not err and '"applicable": true' in out
+
+
+def _poly(*terms, nvars=3):
+    return {"nvars": nvars,
+            "terms": [{"exp": e, "c": c} for e, c in terms]}
+
+
+_X1, _X2 = _poly(([1, 0, 0], 1)), _poly(([0, 1, 0], 1))
+
+
+@pytest.mark.parametrize("system", [
+    {"polys": [_poly(([1.9, 0, 0], 1)), _X2]},
+    {"polys": [_poly((["2", 0, 0], 1)), _X2]},
+    {"polys": [_poly(([1, 0, 0], True)), _X2]},
+    {"r": 3.7, "polys": [_X1, _X2]},
+    {"d": [2.2, 2], "polys": [_X1, _X2]},
+    {"polys": [_poly(([1, 0, 0], 1), nvars=3.0), _X2]},
+    {"polys": [_poly(([1, 0, 0], 1), ([1, 0, 0], 3)), _X2]},
+], ids=["float-exponent", "string-exponent", "bool-coefficient", "float-r",
+        "float-d", "float-nvars", "repeated-exponent"])
+def test_system_file_numbers_are_json_integers(tmp_path, capsys, system):
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(system))
+    code, out, err = _run(capsys, "classify", "--q", "7", "--r", "3",
+                          "--s", "2", "--d", "2,2", "--system", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_census_subcommand(tmp_path, capsys):
     csv_path = tmp_path / "dump.csv"
     code, out, _ = _run(capsys, "census", "--q", "2", "--r", "3", "--s", "2",

@@ -103,6 +103,41 @@ def test_large_fields_match_reference_on_draws(name):
         _check_pair(field, rf, a, b)
 
 
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (101, 1), (2, 2)])
+def test_exgcd_matches_reference_gcd(p, k):
+    # a = f*b and m = f*c with f monic of degree 0..3, deg b < deg c: the
+    # gcd has the reference's degree (at least deg f), and the cofactor
+    # solves u*a = g mod m below deg m; F_4 is read through the index maps
+    field = field_make(p, k)
+    rf = _reference_of(field)
+    stream = HashStream("exgcd-reference", p, k)
+
+    def draw(degree, lead=None):
+        coeffs = [rf.element_from_index(stream.randint(field.q))
+                  for _ in range(degree)]
+        top = lead or rf.element_from_index(1 + stream.randint(field.q - 1))
+        return coeffs + [top]
+
+    def indices(poly):
+        return [rf.index_of(c) for c in poly]
+
+    for common in range(4):
+        for _ in range(15):
+            f = draw(common, rf.one)
+            cm = 1 + stream.randint(6)
+            a = ref.upoly_mul(rf, f, draw(stream.randint(cm)))
+            m = ref.upoly_mul(rf, f, draw(cm))
+            g, u = fmod._upoly_exgcd(field, indices(a), indices(m))
+            want = ref.gcd(rf, a, m)
+            assert len(want) > common and len(g) == len(want)
+            scale = rf.mul(rf.element_from_index(g[-1]), rf.inv(want[-1]))
+            assert g == indices(rf.mul(scale, c) for c in want)
+            back = [rf.element_from_index(c) for c in u]
+            assert ref.upoly_divmod(rf, ref.upoly_mul(rf, back, a), m)[1] \
+                == ref.trim(rf, [rf.element_from_index(c) for c in g])
+            assert len(u) < len(m)
+
+
 @pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 16)])
 def test_table_field_tests_its_modulus_once(monkeypatch, p, k):
     # the tables come from the field's own ring product, with no second
