@@ -39,10 +39,14 @@ every other result is the exact dimension.  The full ideal I_s is one
 floored Buchberger run, never reduced; a reduced basis is built only in
 the witness search, once an exact divisor needs its membership test.
 
-Stage order: the prefix dimensions, then one homogenized Jacobian and,
-unless a rank test settles an empty fiber (below), one floored
-Buchberger run on the fiber ideal J = (F^h, minors), cone floor 0,
-which yields both ``fiber_dim`` and the rank-defect dimension
+Stage order: one homogenization and one Jacobian build the fiber ideal
+J = (F^h, minors) in X_0..X_r (``_fiber_ideal``), and the rank test
+below is asked of it at most once.  When it proves the fiber empty on
+a system whose degrees are all full and which has at most one linear
+generator, the report is decided with no Buchberger run (below).
+Every other system runs the prefix dimensions, then, unless the rank
+test filled, one floored Buchberger run on J, cone floor 0, which
+yields both ``fiber_dim`` and the rank-defect dimension
 (``_fiber_dims``), then the witness search.  By Euler's argument above,
 the affine rank-defect locus is V(J) off X_0 = 0, a dense open part of
 V(J : X_0^infinity), so the two have one dimension.  J is homogeneous
@@ -55,26 +59,55 @@ of a full basis, whose records are homogeneous.  A run that stops holds
 a unit record or a pure power of X_0; both reads then give -1, which is
 right, since the rank-defect locus lies inside the empty fiber set.
 
-Empty fibers first.  Over a prime field, when every generator of J has
-degree <= 2, ``_fiber_dims`` first asks ``resultant.fills_degree``
-whether the multiples of the generators span all forms of degree D,
-the least degree, at least each generator's, at which they are as many
-as the degree-D monomials.  If they do, every X_j^D lies in J, so the
-fiber set is empty and J : X_0^infinity is the unit ideal: (-1, -1),
-exactly what the floored run reads, with no run.  Otherwise the run
-goes on as above; the test only ever answers "empty".  It fills on
-most systems of the Monte Carlo and census shapes (394 of 400 q=101
-draws at r=3, d=(2,2)); on seeded draws at r=3 and 4 and on the whole
-q=2, d=(2,1) census it filled on every system with an empty fiber,
-except at q=2, r=4, d=(2,2), where it needs one degree more.  The gate
-keeps it off where it does not pay: with a cubic generator the least
-degree filled on none of 30 draws at q=101, r=3, d=(3,2) (1.0 ms spent
-before a 6.4 ms run), and the degree that does fill cost 9.9 ms (41 ms
-against a 23 ms run at d=(3,3)).  The test itself runs over any field,
-and the gate keeps extension fields out because it did not pay there:
-with the gate lifted, only q=8 at r=3 ran the fiber stage clearly
-faster (0.60 -> 0.42 ms a system), q=9 at r=3 ran slower (0.78 ->
-0.85 ms), and at r=4 q=4 went 2.25 -> 3.42 ms and q=9 2.57 -> 4.30 ms.
+The rank test.  Over a prime field, when every generator of J has
+degree <= 2, ``resultant.fills_degree`` asks whether the multiples of
+the generators span all forms of degree D, the least degree, at least
+each generator's, at which they are as many as the degree-D monomials.
+If they do, every X_j^D lies in J, so the fiber set is empty and
+J : X_0^infinity is the unit ideal: (-1, -1), exactly what the floored
+run reads, with no run.  A short rank decides nothing; the test only
+ever answers "empty".  It fills on most systems of the Monte Carlo
+and census shapes (394 of 400 q=101 draws at r=3, d=(2,2)); on seeded
+draws at r=3 and 4 and on the whole q=2, d=(2,1) census it filled on
+every system with an empty fiber, except at q=2, r=4, d=(2,2), where
+it needs one degree more.  The gate keeps it off where it does not
+pay: with a cubic generator the least degree filled on none of 30
+draws at q=101, r=3, d=(3,2) (1.0 ms spent before a 6.4 ms run), and
+the degree that does fill cost 9.9 ms (41 ms against a 23 ms run at
+d=(3,3)).  The test itself runs over any field, and the gate keeps
+extension fields out because it did not pay there: with the gate
+lifted, only q=8 at r=3 ran the fiber stage clearly faster (0.60 ->
+0.42 ms a system), q=9 at r=3 ran slower (0.78 -> 0.85 ms), and at r=4
+q=4 went 2.25 -> 3.42 ms and q=9 2.57 -> 4.30 ms.
+
+An empty fiber decides the whole report.  Let every degree be full and
+the top forms of the linear generators be independent, which holds at
+once when at most one generator is linear.  If J has no projective
+zero, the Jacobian of F^h has rank s at every point of V(F^h), which
+is not empty (s < r forms in P^r), so V(F^h) is smooth of pure
+dimension r-s >= 1 and F^h is a regular sequence of forms.  A complete
+intersection of positive dimension is connected (Hartshorne,
+*Algebraic Geometry*, III Ex. 5.5), and a smooth connected variety is
+irreducible; a complete intersection that is smooth is reduced, so
+(F^h) is radical.  V(F^h) does not lie in X_0 = 0: by radicality that
+would put X_0 in (F^h)_1, the span of the linear F_i^h = l_i + c_i X_0,
+and a combination sum a_i (l_i + c_i X_0) = X_0 forces sum a_i l_i = 0,
+so every a_i = 0 when the top forms l_i are independent, and then
+X_0 = 0.  So V(F) is a dense open part of V(F^h) and not empty.  Each
+prefix F_1^h..F_i^h is a regular sequence too, so its zero set has pure
+dimension r-i; that set contains V(F^h), so some component meets the
+chart X_0 != 0, where it is V(F_1..F_i).  Hence every prefix ideal has
+dimension r-i: ``regular_sequence`` holds with no failing index,
+``set_theoretic_ci`` holds, ``in_B0`` is False, ``fiber_dim`` and the
+rank-defect dimension are -1, so ``ideal_theoretic_ci`` holds and the
+report reads ``CertifiedIrreducible``, exactly what the prefix runs
+would give.  A degree-dropped system stays on the full path: its V(F)
+may be empty, and its report then needs the failing index, which only
+the prefix runs give.  So does every system with two or more linear
+generators, whose top forms may be dependent: over F_101 at r=4,
+d=(2,1,1), F = (x_0^2 + x_1^2 + x_2x_3 + x_3^2 + x_2 + 1, x_0, x_0 + 1)
+fills with every degree full, yet V(F) is empty and the sequence fails
+at index 3.
 
 Irreducibility is a certified trichotomy, not a decision procedure:
 a small singular locus (fiber_dim <= r-s-2 on a full-degree system
@@ -180,27 +213,38 @@ def initial_form_criterion(system: PolySystem) -> bool:
     return _dimension_floor(inits, r - s - 1, system.field, r) == r - s
 
 
-def _fiber_dims(system: PolySystem) -> tuple:
-    """(fiber_dim, affine rank-defect dimension), both exact, <= 1 run.
+def _fiber_ideal(system: PolySystem) -> tuple:
+    """(generators of J = (F^h, minors), whether the rank test fills J).
 
-    (-1, -1) with no run when J = (F^h, minors) fills its least degree
-    (``resultant.fills_degree``; asked only over prime fields and when
-    every generator has degree <= 2, see the module docstring).  The
-    run is floored at cone dimension 0 (every cone of dimension <= 0
-    gives -1) on F^h and its homogenized minors in X_0..X_r.  The
-    rank-defect read strikes X_0 (bit r) out of every leading support:
-    V(J : X_0^infinity), the fiber set off X_0 = 0 (module docstring).
-    X_0 is then free, so that cone's dimension is one more than the
-    read over x_1..x_r alone, which is the projective dimension.
+    One homogenization and one Jacobian.  ``resultant.fills_degree`` is
+    asked only over a prime field and when every generator has degree
+    <= 2 (module docstring); elsewhere the answer is False, unasked.
     """
-    r, field = system.r, system.field
+    field = system.field
     homog = system.homogenized()
     gens = homog + jacobian_minors(homog)
     # the whole policy of the rank test: fills_degree answers over any
     # field, but over an extension field it was measured not to pay
-    # (module docstring)
-    if (field.q == field.p and all(g.degree() <= 2 for g in gens)
-            and fills_degree(gens, field)):
+    filled = (field.q == field.p and all(g.degree() <= 2 for g in gens)
+              and fills_degree(gens, field))
+    return gens, filled
+
+
+def _fiber_dims(system: PolySystem, ideal=None) -> tuple:
+    """(fiber_dim, affine rank-defect dimension), both exact, <= 1 run.
+
+    ``ideal`` is ``_fiber_ideal(system)``, built here when not given.
+    (-1, -1) with no run when the rank test fills J.  The run is floored
+    at cone dimension 0 (every cone of dimension <= 0 gives -1) on F^h
+    and its homogenized minors in X_0..X_r.  The rank-defect read
+    strikes X_0 (bit r) out of every leading support: V(J : X_0^infinity),
+    the fiber set off X_0 = 0 (module docstring).  X_0 is then free, so
+    that cone's dimension is one more than the read over x_1..x_r alone,
+    which is the projective dimension.
+    """
+    r, field = system.r, system.field
+    gens, filled = ideal or _fiber_ideal(system)
+    if filled:
         return -1, -1
     support = _packing(r + 1).support
     leads = {support(m) for m in _floored_leads(gens, 0, field, r + 1)}
@@ -306,12 +350,17 @@ def classify(system: PolySystem) -> ClassificationReport:
     degree_full = system.degree_full()
     all_full = all(degree_full)
 
-    dims = _prefix_dimensions(system)
-    rs, fail_idx = _first_failure(dims, r)
-    stci = dims[-1] == r - s
-    # not dims[-1] == -1: a unit ideal may stop on pure powers first
-    b0 = all_full and dims[-1] <= r - s - 1
-    fdim, rdim = _fiber_dims(system)
+    gens, filled = _fiber_ideal(system)
+    if filled and all_full and system.caps.count(1) <= 1:
+        # the empty fiber decides every exact flag (module docstring)
+        rs, fail_idx, stci, b0, fdim, rdim = True, None, True, False, -1, -1
+    else:
+        dims = _prefix_dimensions(system)
+        rs, fail_idx = _first_failure(dims, r)
+        stci = dims[-1] == r - s
+        # not dims[-1] == -1: a unit ideal may stop on pure powers first
+        b0 = all_full and dims[-1] <= r - s - 1
+        fdim, rdim = _fiber_dims(system, (gens, filled))
     itci = rs and rdim <= r - s - 1
 
     if all_full and not b0 and fdim <= r - s - 2:

@@ -171,7 +171,11 @@ class PrimeField(Field):
         return a
 
     def decode(self, obj):
-        return _json_int(obj, "prime field element") % self.p
+        c = _json_int(obj, "prime field element")
+        if not 0 <= c < self.p:
+            raise ValueError(f"prime field element must lie in [0, {self.p}), "
+                             f"got {c}")
+        return c
 
     def describe(self):
         return {"p": self.p, "k": 1, "q": self.p, "modulus": None}

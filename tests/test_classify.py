@@ -435,10 +435,16 @@ def test_classify_builds_one_jacobian_per_system(monkeypatch, f2):
     assert regular  # the rank-defect read decides itci on these
 
 
+def _shortcut(system, filled):
+    # classify's gate for deciding the report off an empty fiber
+    return filled and all(system.degree_full()) and system.caps.count(1) <= 1
+
+
 def test_classify_makes_one_fiber_run_per_system(monkeypatch, f2, f101):
-    # s floored prefix runs and one floored fiber run, which also yields
-    # the rank-defect dimension: no stage runs Buchberger of its own.
-    # The fiber run is skipped when the fiber ideal fills its degree
+    # no run when an empty fiber decides the report; otherwise s floored
+    # prefix runs and, unless the fiber ideal fills its degree, one
+    # floored fiber run, which also yields the rank-defect dimension:
+    # no stage runs Buchberger of its own
     import defectus.groebner as gbmod
 
     runs, filled = [], []
@@ -461,8 +467,16 @@ def test_classify_makes_one_fiber_run_per_system(monkeypatch, f2, f101):
         del runs[:], filled[:]
         clmod.classify(system)
         assert len(filled) == 1
-        assert len(runs) == system.s + (not filled[0])
-        seen[filled[0]] += 1
+        if _shortcut(system, filled[0]):
+            case = "shortcut"
+            assert not runs
+        elif filled[0]:
+            case = "filled"
+            assert len(runs) == system.s
+        else:
+            case = "open"
+            assert len(runs) == system.s + 1
+        seen[case] += 1
 
     draws = BoundInputs(3, 2, 101, (2, 2))
     for i in range(50):
@@ -470,7 +484,7 @@ def test_classify_makes_one_fiber_run_per_system(monkeypatch, f2, f101):
     census = BoundInputs(3, 2, 2, (2, 1))
     for i in range(0, 16384, 97):
         check(system_from_census_index(census, f2, i))
-    assert seen[True] and seen[False]
+    assert seen["shortcut"] and seen["filled"] and seen["open"]
 
 
 @pytest.mark.parametrize("q,d,called", [
@@ -487,6 +501,67 @@ def test_fiber_rank_test_is_gated(monkeypatch, q, d, called):
         clmod.classify(sample_system(inputs, field,
                                      HashStream("gated", q, i)))
     assert len(calls) == (6 if called else 0)
+
+
+def test_two_linear_generators_keep_the_full_path(f101):
+    # F_2 and F_3 share the top form x_0, so V(F) is empty although J
+    # fills its degree and every degree is full: only the prefix runs
+    # find the unit ideal and the failing index
+    x = [Poly.variable(f101, 4, i) for i in range(4)]
+    one = Poly.from_int_terms(f101, 4, {(0, 0, 0, 0): 1})
+    f1 = x[0] * x[0] + x[1] * x[1] + x[2] * x[3] + x[3] * x[3] + x[2] + one
+    system = PolySystem(f101, 4, 3, (2, 1, 1), (f1, x[0], x[0] + one))
+    assert all(system.degree_full()) and clmod._fiber_ideal(system)[1]
+    rep = classify(system)
+    assert rep.in_B0 and not rep.regular_sequence
+    assert rep.regular_sequence_failure_index == 3
+
+
+def _full_path_disagreements(monkeypatch, systems):
+    """(shortcuts taken, systems whose report the full path changes).
+
+    The full path: ``fills_degree`` forced to answer "not filled", so
+    every system takes the prefix runs and the floored fiber run."""
+    fills, answers = clmod.fills_degree, []
+
+    def watched(forms, field):
+        answers.append(fills(forms, field))
+        return answers[-1]
+
+    shortcuts, bad = 0, []
+    for system in systems:
+        del answers[:]
+        monkeypatch.setattr(clmod, "fills_degree", watched)
+        rep = classify(system)
+        shortcuts += bool(answers) and _shortcut(system, answers[0])
+        monkeypatch.setattr(clmod, "fills_degree", lambda forms, field: False)
+        if classify(system) != rep:
+            bad.append(system)
+    return shortcuts, bad
+
+
+def test_shortcut_reports_equal_the_full_path(monkeypatch, f2, f101):
+    draws = BoundInputs(3, 2, 101, (2, 2))
+    census = BoundInputs(3, 2, 2, (2, 1))
+    systems = [sample_system(draws, f101, HashStream("sample", 42, i))
+               for i in range(50)]
+    systems += [system_from_census_index(census, f2, i)
+                for i in range(0, 16384, 97)]
+    shortcuts, bad = _full_path_disagreements(monkeypatch, systems)
+    assert shortcuts and bad == []
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("q,stride", [(2, 1), (3, 97)])
+def test_shortcut_reports_equal_the_full_path_on_census(monkeypatch, q,
+                                                        stride):
+    # the whole q=2, d=(2,1) census and a stride of the q=3 one
+    field = field_make(q, 1)
+    inputs = BoundInputs(3, 2, q, (2, 1))
+    shortcuts, bad = _full_path_disagreements(monkeypatch, (
+        system_from_census_index(inputs, field, i)
+        for i in range(0, census_size(inputs), stride)))
+    assert shortcuts and bad == []
 
 
 def test_rank_defect_read_below_the_fiber(f2):

@@ -278,20 +278,26 @@ def _poly(*terms, nvars=3):
 _X1, _X2 = _poly(([1, 0, 0], 1)), _poly(([0, 1, 0], 1))
 
 
-@pytest.mark.parametrize("system", [
-    {"polys": [_poly(([1.9, 0, 0], 1)), _X2]},
-    {"polys": [_poly((["2", 0, 0], 1)), _X2]},
-    {"polys": [_poly(([1, 0, 0], True)), _X2]},
-    {"r": 3.7, "polys": [_X1, _X2]},
-    {"d": [2.2, 2], "polys": [_X1, _X2]},
-    {"polys": [_poly(([1, 0, 0], 1), nvars=3.0), _X2]},
-    {"polys": [_poly(([1, 0, 0], 1), ([1, 0, 0], 3)), _X2]},
+@pytest.mark.parametrize("q,system", [
+    (7, {"polys": [_poly(([1.9, 0, 0], 1)), _X2]}),
+    (7, {"polys": [_poly((["2", 0, 0], 1)), _X2]}),
+    (7, {"polys": [_poly(([1, 0, 0], True)), _X2]}),
+    (7, {"r": 3.7, "polys": [_X1, _X2]}),
+    (7, {"d": [2.2, 2], "polys": [_X1, _X2]}),
+    (7, {"polys": [_poly(([1, 0, 0], 1), nvars=3.0), _X2]}),
+    (7, {"polys": [_poly(([1, 0, 0], 1), ([1, 0, 0], 3)), _X2]}),
+    (7, {"polys": [_poly(([1, 0, 0], 8)), _X2]}),
+    (7, {"polys": [_poly(([1, 0, 0], -6)), _X2]}),
+    (49, {"polys": [_poly(([1, 0, 0], [1, 7])), _poly(([0, 1, 0], [1, 0]))]}),
 ], ids=["float-exponent", "string-exponent", "bool-coefficient", "float-r",
-        "float-d", "float-nvars", "repeated-exponent"])
-def test_system_file_numbers_are_json_integers(tmp_path, capsys, system):
+        "float-d", "float-nvars", "repeated-exponent", "coefficient-p+1",
+        "negative-coefficient", "extension-digit-p"])
+def test_system_file_numbers_are_json_integers(tmp_path, capsys, q, system):
+    # every number a JSON integer, and a coefficient or digit in [0, p):
+    # 8 and -6 are not read as 1 at q=7
     path = tmp_path / "sys.json"
     path.write_text(json.dumps(system))
-    code, out, err = _run(capsys, "classify", "--q", "7", "--r", "3",
+    code, out, err = _run(capsys, "classify", "--q", str(q), "--r", "3",
                           "--s", "2", "--d", "2,2", "--system", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
